@@ -165,15 +165,13 @@ def _cmd_eval_paraphrase(args: argparse.Namespace) -> int:
         else [1] * len(pairs.pairs)
     )
     max_len = ckpt.config.max_len
-    emb_a = embed(ckpt.params, vocab, pairs.sources(), max_len)
+    emb_a, seconds = time_inference(ckpt.params, vocab, pairs.sources(), max_len)
     emb_b = embed(ckpt.params, vocab, pairs.targets(), max_len)
     report = EvalReport(
         task="paraphrase",
         mcs=mean_cosine_similarity(emb_a, emb_b),
         accuracy=paraphrase_accuracy(emb_a, emb_b, labels, threshold=args.threshold),
-        inference_seconds=time_inference(
-            ckpt.params, vocab, pairs.sources(), max_len, repeats=args.timing_repeats
-        ),
+        inference_seconds=seconds,
         n_items=len(pairs.pairs),
     )
     print(report.to_json())
@@ -188,16 +186,14 @@ def _cmd_eval_sts(args: argparse.Namespace) -> int:
     if len(scored.pairs) == 0:
         raise ValidationError(f"{args.pairs}: no pairs to evaluate")
     max_len = ckpt.config.max_len
-    emb_a = embed(ckpt.params, vocab, [a for a, _ in scored.pairs], max_len)
+    emb_a, seconds = time_inference(ckpt.params, vocab, [a for a, _ in scored.pairs], max_len)
     emb_b = embed(ckpt.params, vocab, [b for _, b in scored.pairs], max_len)
     cosines = [cosine(u, v) for u, v in zip(emb_a.vectors, emb_b.vectors)]
     report = EvalReport(
         task="sts",
         pearson_r=pearson(cosines, scored.scores),
         spearman_rho=spearman(cosines, scored.scores),
-        inference_seconds=time_inference(
-            ckpt.params, vocab, [a for a, _ in scored.pairs], max_len, repeats=args.timing_repeats
-        ),
+        inference_seconds=seconds,
         n_items=len(scored.pairs),
     )
     print(report.to_json())
@@ -239,11 +235,6 @@ def _add_corpus_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="upper bound on worker threads (computation is "
-                             "single-threaded, the default keeps runs bit-reproducible)")
-
     parser = argparse.ArgumentParser(
         prog="xlembed",
         description="Train and evaluate a compact sentence encoder distilled "
@@ -251,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-vocab", parents=[common],
+    p = sub.add_parser("build-vocab",
                        help="build a word vocabulary from one side of a parallel corpus")
     _add_corpus_options(p)
     p.add_argument("--out", required=True, help="vocabulary file to write")
@@ -260,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", type=int, default=1)
     p.set_defaults(handler=_cmd_build_vocab)
 
-    p = sub.add_parser("toy-teacher", parents=[common],
+    p = sub.add_parser("toy-teacher",
                        help="embed the target side with a frozen random encoder "
                             "(stand-in teacher for closed-loop runs)")
     _add_corpus_options(p)
@@ -275,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-min-freq", type=int, default=1)
     p.set_defaults(handler=_cmd_toy_teacher)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train",
                        help="distill a teacher table into a fresh student encoder")
     _add_corpus_options(p)
     p.add_argument("--teacher", required=True, help="teacher table file")
@@ -303,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ffn-mult", type=int, default=4)
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("embed", parents=[common],
+    p = sub.add_parser("embed",
                        help="embed one sentence per line into a teacher-format file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
@@ -311,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_embed)
 
-    p = sub.add_parser("eval-paraphrase", parents=[common],
+    p = sub.add_parser("eval-paraphrase",
                        help="mean cosine similarity and thresholded paraphrase accuracy")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
@@ -320,20 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None,
                    help="optional file of 0/1 labels, one per pair (default: all 1)")
     p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--timing-repeats", type=int, default=1)
     p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(handler=_cmd_eval_paraphrase)
 
-    p = sub.add_parser("eval-sts", parents=[common],
+    p = sub.add_parser("eval-sts",
                        help="Pearson and Spearman correlation against 0..5 scores")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--pairs", required=True, help="three-column TSV: text_a, text_b, score")
-    p.add_argument("--timing-repeats", type=int, default=1)
     p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(handler=_cmd_eval_sts)
 
-    p = sub.add_parser("tsne", parents=[common],
+    p = sub.add_parser("tsne",
                        help="project an embedding file to 2-D and render an SVG")
     p.add_argument("--embeddings", required=True, help="teacher-format embedding file")
     p.add_argument("--labels", required=True, help="labeled TSV: text, label_name")
@@ -355,9 +344,6 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.handler(args)
     except ToolkitError as exc:

@@ -270,12 +270,13 @@ def _layer_norm_backward(
     return dx, dgain, dbias
 
 
-def _gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + erf(u * _INV_SQRT2))
+def _gelu(u: np.ndarray, erf_u: np.ndarray) -> np.ndarray:
+    """GELU from its pre-activation and ``erf(u / sqrt(2))``, kept for backward."""
+    return 0.5 * u * (1.0 + erf_u)
 
 
-def _gelu_grad(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(u * _INV_SQRT2)) + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI
+def _gelu_grad(u: np.ndarray, erf_u: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + erf_u) + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -320,16 +321,17 @@ def _block_forward(
     x1 = x + attn
     h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
     u = h2 @ layer.ffn_in_w + layer.ffn_in_b
-    g = _gelu(u)
-    x2 = x1 + (g @ layer.ffn_out_w + layer.ffn_out_b)
-    cache = (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, g)
+    erf_u = erf(u * _INV_SQRT2)
+    x2 = x1 + (_gelu(u, erf_u) @ layer.ffn_out_w + layer.ffn_out_b)
+    cache = (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, erf_u)
     return x2, cache
 
 
 def _block_backward(
     d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams
 ) -> np.ndarray:
-    h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, g = cache
+    h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, erf_u = cache
+    g = _gelu(u, erf_u)
     d = d_out.shape[-1]
     f = g.shape[-1]
 
@@ -337,7 +339,7 @@ def _block_backward(
     d_g = d_out @ layer.ffn_out_w.T
     grads.ffn_out_w += g.reshape(-1, f).T @ d_out.reshape(-1, d)
     grads.ffn_out_b += d_out.reshape(-1, d).sum(axis=0)
-    d_u = d_g * _gelu_grad(u)
+    d_u = d_g * _gelu_grad(u, erf_u)
     d_h2 = d_u @ layer.ffn_in_w.T
     grads.ffn_in_w += h2.reshape(-1, d).T @ d_u.reshape(-1, f)
     grads.ffn_in_b += d_u.reshape(-1, f).sum(axis=0)
@@ -406,8 +408,10 @@ def _stack_batch(
 def forward(params: EncoderParams, batch: list[TokenSeq]) -> tuple[EmbeddingBatch, Cache]:
     """Embed a batch of token sequences; returns embeddings plus a cache.
 
-    Sequences of different padded lengths are stacked to the batch maximum;
-    pad invariance makes the extra padding inert.
+    The batch is stacked at its longest sequence as given, padding
+    included, and every position is computed. Pad invariance makes padding
+    inert, so callers trim sequences to their real tokens to skip that
+    work (see ``embed``).
     """
     config = params.config
     dtype = params.dtype
@@ -477,8 +481,13 @@ def embed(
 ) -> EmbeddingBatch:
     """Encode and embed sentences; caches are discarded.
 
-    Work proceeds in chunks to bound memory; every row is independent of
-    its chunk, so chunking never changes results.
+    Sentences are stable-sorted by real length and embedded in chunks of
+    ``batch_size``, each stacked at its own longest real length but never
+    narrower than 2 positions, and every row is written back to its input
+    position. Rows are independent of their chunk and of padding, so the
+    result is bit-identical to one padded pass over all texts. The floor
+    of 2 keeps it so: at width 1 NumPy runs each per-sentence matmul as a
+    matrix-vector product, which rounds differently.
     """
     if not texts:
         raise ValidationError("no texts to embed")
@@ -487,8 +496,12 @@ def embed(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
         )
     seqs = encode_batch(vocab, texts, max_len)
-    rows = []
-    for start in range(0, len(seqs), batch_size):
-        emb, _ = forward(params, seqs[start : start + batch_size])
-        rows.append(emb.vectors)
-    return EmbeddingBatch(vectors=np.concatenate(rows, axis=0))
+    lengths = [seq.length for seq in seqs]
+    order = sorted(range(len(seqs)), key=lengths.__getitem__)
+    out = np.empty((len(seqs), params.config.dim), dtype=params.dtype)
+    for start in range(0, len(order), batch_size):
+        chunk = order[start : start + batch_size]
+        width = max(2, lengths[chunk[-1]])
+        emb, _ = forward(params, [seqs[i].trimmed(width) for i in chunk])
+        out[chunk] = emb.vectors
+    return EmbeddingBatch(vectors=out)

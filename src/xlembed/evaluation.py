@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -128,19 +127,16 @@ def spearman(x, y) -> float:
 
 
 def time_inference(
-    params: EncoderParams, vocab: Vocab, texts: list[str], max_len: int, repeats: int = 3
-) -> float:
-    """Median wall-clock seconds to embed all texts, over several repeats.
+    params: EncoderParams, vocab: Vocab, texts: list[str], max_len: int
+) -> tuple[EmbeddingBatch, float]:
+    """Embed all texts once; returns the embeddings and the wall-clock seconds.
 
-    Texts are already in memory, so file I/O never enters the measurement.
+    Callers compute their metrics from these embeddings, so the time is that
+    of the pass that produced them. Texts are already in memory, so file I/O
+    never enters the measurement.
     """
     if not texts:
         raise ValidationError("no texts to time")
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    durations = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        embed(params, vocab, texts, max_len)
-        durations.append(time.perf_counter() - start)
-    return float(median(durations))
+    start = time.perf_counter()
+    batch = embed(params, vocab, texts, max_len)
+    return batch, time.perf_counter() - start

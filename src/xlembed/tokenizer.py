@@ -57,6 +57,10 @@ class TokenSeq:
     def length(self) -> int:
         return sum(self.mask)
 
+    def trimmed(self, width: int) -> "TokenSeq":
+        """The first ``width`` positions; callers keep every real token."""
+        return TokenSeq(ids=self.ids[:width], mask=self.mask[:width])
+
 
 def _tokens_from_vocab_list(tokens: list[str]) -> Vocab:
     id_to_token = list(_RESERVED) + tokens

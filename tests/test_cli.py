@@ -212,14 +212,6 @@ class TestExitCodes:
         assert dispatch(["build-vocab"]) == 1  # missing required flags
         capsys.readouterr()
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
-        code = dispatch([
-            "build-vocab", "--corpus", "x.tsv", "--out", str(tmp_path / "v.txt"),
-            "--threads", "0",
-        ])
-        assert code == 1
-        assert "--threads" in capsys.readouterr().err
-
     def test_missing_corpus_exits_two(self, tmp_path, capsys):
         code = dispatch([
             "build-vocab", "--corpus", str(tmp_path / "absent.tsv"),

@@ -12,6 +12,7 @@ from xlembed import (
     EmbeddingBatch,
     EvalReport,
     ValidationError,
+    embed,
     init_params,
     mean_cosine_similarity,
     paraphrase_accuracy,
@@ -152,17 +153,17 @@ class TestSpearman:
 
 
 class TestTiming:
-    def test_returns_positive_median(self, tiny_config, tiny_vocab):
+    def test_returns_the_timed_embeddings(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
-        seconds = time_inference(params, tiny_vocab, ["the cat", "a dog"], max_len=4, repeats=3)
+        texts = ["the cat", "a dog"]
+        batch, seconds = time_inference(params, tiny_vocab, texts, max_len=4)
+        assert np.array_equal(batch.vectors, embed(params, tiny_vocab, texts, max_len=4).vectors)
         assert seconds > 0.0
 
     def test_validation(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
         with pytest.raises(ValidationError):
             time_inference(params, tiny_vocab, [], max_len=4)
-        with pytest.raises(ValidationError):
-            time_inference(params, tiny_vocab, ["the"], max_len=4, repeats=0)
 
 
 class TestEvalReport:
