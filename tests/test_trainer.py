@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import struct
 
@@ -321,6 +322,18 @@ class TestCheckpointFile:
             bad.write_bytes(corrupted)
             with pytest.raises(FormatError):
                 load_checkpoint(bad)
+
+    def test_golden_checkpoint_digest(
+        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher, tmp_path
+    ):
+        # Pinned bytes of a small trained checkpoint: a change to the
+        # parameter layout, the optimizer arithmetic or the file format
+        # shows up here.
+        ckpt = train(tiny_corpus, random_teacher, tiny_vocab, tiny_config, quick_config(epochs=3))
+        path = tmp_path / "golden.bemb"
+        save_checkpoint(ckpt, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "bbc3c94c182cf11813da4bd9ecf50211c1c9907fc1603e56c298089814ca76b9"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
