@@ -22,7 +22,6 @@ from .encoder import (
     EmbeddingBatch,
     EncoderConfig,
     EncoderParams,
-    ParamGrads,
     backward,
     embed,
     empty_params,

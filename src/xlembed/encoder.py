@@ -59,6 +59,13 @@ class EncoderConfig:
             raise ValidationError(
                 f"dim ({self.dim}) must be divisible by n_heads ({self.n_heads})"
             )
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+    @property
+    def n_params(self) -> int:
+        """Number of scalars in the parameter buffer of this architecture."""
+        return sum(math.prod(shape) for _, shape in _layout(self))
 
 
 @dataclass
@@ -83,79 +90,85 @@ class LayerParams:
     ffn_out_b: np.ndarray
 
 
-@dataclass
-class EncoderParams:
-    """All encoder tensors plus the config that fixes their shapes.
+def _layout(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter tensor, in serialization order.
 
-    ``tensors()`` yields every array in the fixed serialization order:
-    token embedding, position embedding, then per layer the Q/K/V/O
-    projections with biases, the two layer norms, and the feed-forward
-    weights, and finally the closing layer-norm gain and bias.
+    Token embedding, position embedding, then per layer the 16 tensors of
+    ``LayerParams`` (Q/K/V/O projections with biases, the two layer norms,
+    the feed-forward weights), and finally the closing layer-norm gain and
+    bias. This is the only place that knows shapes and order.
+    """
+    d, f = config.dim, config.ffn_mult * config.dim
+    block = [
+        ("attn_q_w", (d, d)), ("attn_q_b", (d,)),
+        ("attn_k_w", (d, d)), ("attn_k_b", (d,)),
+        ("attn_v_w", (d, d)), ("attn_v_b", (d,)),
+        ("attn_out_w", (d, d)), ("attn_out_b", (d,)),
+        ("norm1_gain", (d,)), ("norm1_bias", (d,)),
+        ("norm2_gain", (d,)), ("norm2_bias", (d,)),
+        ("ffn_in_w", (d, f)), ("ffn_in_b", (f,)),
+        ("ffn_out_w", (f, d)), ("ffn_out_b", (d,)),
+    ]
+    return (
+        [("token_embedding", (config.vocab_size, d)), ("position_embedding", (config.max_len, d))]
+        + [(f"layers.{i}.{name}", shape) for i in range(config.n_layers) for name, shape in block]
+        + [("final_gain", (d,)), ("final_bias", (d,))]
+    )
+
+
+class EncoderParams:
+    """All encoder tensors, as views into one contiguous 1-D buffer ``flat``.
+
+    ``flat`` holds the tensors back to back in serialization order (see
+    ``_layout``); ``token_embedding``, ``position_embedding``, ``layers``,
+    ``final_gain`` and ``final_bias`` are reshaped views into it, so writing
+    to a view writes to ``flat``. Gradients and optimizer moments use the
+    same layout.
     """
 
-    config: EncoderConfig
-    token_embedding: np.ndarray
-    position_embedding: np.ndarray
-    layers: list[LayerParams]
-    final_gain: np.ndarray
-    final_bias: np.ndarray
+    def __init__(self, config: EncoderConfig, flat: np.ndarray) -> None:
+        if flat.shape != (config.n_params,):
+            raise ValidationError(
+                f"parameter buffer has shape {flat.shape}, expected ({config.n_params},)"
+            )
+        views: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in _layout(config):
+            size = math.prod(shape)
+            views[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        self.config = config
+        self.flat = flat
+        self._views = views
+        self.token_embedding = views["token_embedding"]
+        self.position_embedding = views["position_embedding"]
+        self.layers = [
+            LayerParams(
+                **{f.name: views[f"layers.{i}.{f.name}"] for f in dataclasses.fields(LayerParams)}
+            )
+            for i in range(config.n_layers)
+        ]
+        self.final_gain = views["final_gain"]
+        self.final_bias = views["final_bias"]
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "token_embedding", self.token_embedding
-        yield "position_embedding", self.position_embedding
-        for i, layer in enumerate(self.layers):
-            for f in dataclasses.fields(LayerParams):
-                yield f"layers.{i}.{f.name}", getattr(layer, f.name)
-        yield "final_gain", self.final_gain
-        yield "final_bias", self.final_bias
+        """Every (name, view) pair in serialization order."""
+        return iter(self._views.items())
 
     @property
     def dtype(self) -> np.dtype:
-        return self.token_embedding.dtype
+        return self.flat.dtype
 
     @property
     def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.tensors())
+        return self.flat.size
 
     def map(self, fn: Callable[..., np.ndarray], *others: "EncoderParams") -> "EncoderParams":
-        """Apply fn across corresponding tensors of self (and others)."""
-        def apply(name: str, arr: np.ndarray) -> np.ndarray:
-            return fn(arr, *(getattr_path(o, name) for o in others))
-
-        def getattr_path(obj: "EncoderParams", name: str) -> np.ndarray:
-            if name.startswith("layers."):
-                _, idx, field = name.split(".")
-                return getattr(obj.layers[int(idx)], field)
-            return getattr(obj, name)
-
-        layers = []
-        for i, layer in enumerate(self.layers):
-            kwargs = {
-                f.name: apply(f"layers.{i}.{f.name}", getattr(layer, f.name))
-                for f in dataclasses.fields(LayerParams)
-            }
-            layers.append(LayerParams(**kwargs))
-        return EncoderParams(
-            config=self.config,
-            token_embedding=apply("token_embedding", self.token_embedding),
-            position_embedding=apply("position_embedding", self.position_embedding),
-            layers=layers,
-            final_gain=apply("final_gain", self.final_gain),
-            final_bias=apply("final_bias", self.final_bias),
-        )
-
-    def astype(self, dtype: Any) -> "EncoderParams":
-        return self.map(lambda a: a.astype(dtype))
+        """Apply fn to the flat buffers of self (and others)."""
+        return EncoderParams(self.config, fn(self.flat, *(o.flat for o in others)))
 
     def zeros_like(self) -> "EncoderParams":
-        return self.map(np.zeros_like)
-
-    def copy(self) -> "EncoderParams":
-        return self.map(np.copy)
-
-
-# Gradients mirror the parameter tree exactly, tensor for tensor.
-ParamGrads = EncoderParams
+        return EncoderParams(self.config, np.zeros_like(self.flat))
 
 
 @dataclass
@@ -196,33 +209,8 @@ class Cache:
 
 
 def empty_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams:
-    """Allocate uninitialized tensors of the right shapes (for loaders)."""
-    d, f = config.dim, config.ffn_mult * config.dim
-
-    def e(*shape: int) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
-
-    layers = [
-        LayerParams(
-            attn_q_w=e(d, d), attn_q_b=e(d),
-            attn_k_w=e(d, d), attn_k_b=e(d),
-            attn_v_w=e(d, d), attn_v_b=e(d),
-            attn_out_w=e(d, d), attn_out_b=e(d),
-            norm1_gain=e(d), norm1_bias=e(d),
-            norm2_gain=e(d), norm2_bias=e(d),
-            ffn_in_w=e(d, f), ffn_in_b=e(f),
-            ffn_out_w=e(f, d), ffn_out_b=e(d),
-        )
-        for _ in range(config.n_layers)
-    ]
-    return EncoderParams(
-        config=config,
-        token_embedding=e(config.vocab_size, d),
-        position_embedding=e(config.max_len, d),
-        layers=layers,
-        final_gain=e(d),
-        final_bias=e(d),
-    )
+    """Allocate parameters with an uninitialized buffer."""
+    return EncoderParams(config, np.empty(config.n_params, dtype=dtype))
 
 
 def init_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams:
@@ -444,7 +432,7 @@ def forward(params: EncoderParams, batch: list[TokenSeq]) -> tuple[EmbeddingBatc
     return EmbeddingBatch(vectors=embeddings), cache
 
 
-def backward(params: EncoderParams, cache: Cache, grad_output: np.ndarray) -> ParamGrads:
+def backward(params: EncoderParams, cache: Cache, grad_output: np.ndarray) -> EncoderParams:
     """Exact gradients of <grad_output, embeddings> w.r.t. every parameter."""
     config = params.config
     grad_output = np.asarray(grad_output, dtype=params.dtype)

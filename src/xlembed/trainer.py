@@ -7,7 +7,8 @@ back to the parameter dtype, so runs are bit-reproducible for a fixed seed.
 Checkpoints are little-endian binary: magic ``BEMB``, format version
 (u32), a u32-length-prefixed UTF-8 JSON blob holding the encoder config
 and training metadata, the 32-byte SHA-256 of the vocabulary file content,
-then every parameter tensor as float32 in the documented fixed order.
+then the flat parameter buffer as float32 (every tensor in the fixed
+order of ``EncoderParams.tensors()``).
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .encoder import (
     EmbeddingBatch,
     EncoderConfig,
     EncoderParams,
-    ParamGrads,
     backward,
-    empty_params,
     forward,
     init_params,
 )
@@ -88,20 +87,23 @@ class TrainingConfig:
             raise ValidationError(f"scale must be positive, got {self.scale}")
         if self.max_len < 1:
             raise ValidationError(f"max_len must be >= 1, got {self.max_len}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class OptimizerState:
-    """First and second moment estimates (float64) plus the step counter."""
+    """First and second moment estimates, flat float64 arrays laid out like
+    ``EncoderParams.flat``, plus the step counter."""
 
-    m: EncoderParams
-    v: EncoderParams
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
 
     @classmethod
     def zeros(cls, params: EncoderParams) -> "OptimizerState":
-        f64_zeros = lambda a: np.zeros_like(a, dtype=np.float64)
-        return cls(m=params.map(f64_zeros), v=params.map(f64_zeros), step_count=0)
+        n = params.n_params
+        return cls(m=np.zeros(n, dtype=np.float64), v=np.zeros(n, dtype=np.float64))
 
 
 @dataclass
@@ -139,7 +141,7 @@ def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> f
 
 def adamw_step(
     params: EncoderParams,
-    grads: ParamGrads,
+    grads: EncoderParams,
     state: OptimizerState,
     lr: float,
     config: TrainingConfig,
@@ -147,26 +149,24 @@ def adamw_step(
     """One AdamW update with bias correction and decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * weight_decay) before the
-    moment-driven update is subtracted. All arithmetic happens in float64;
-    updated parameters are cast back to their original dtype.
+    moment-driven update is subtracted. All arithmetic happens in float64
+    over the whole flat buffer; updated parameters are cast back to their
+    original dtype. The inputs are left unchanged.
     """
-    for name, arr in grads.tensors():
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"non-finite gradient in {name}; aborting the update")
+    if not np.isfinite(grads.flat).all():
+        name = next(n for n, arr in grads.tensors() if not np.isfinite(arr).all())
+        raise ValidationError(f"non-finite gradient in {name}; aborting the update")
     t = state.step_count + 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    m_new = state.m.map(lambda m, g: b1 * m + (1.0 - b1) * g.astype(np.float64), grads)
-    v_new = state.v.map(lambda v, g: b2 * v + (1.0 - b2) * np.square(g.astype(np.float64)), grads)
-
-    def update(p: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        decayed = p.astype(np.float64) * (1.0 - lr * config.weight_decay)
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-        return (decayed - step).astype(p.dtype)
-
-    params_new = params.map(update, m_new, v_new)
-    return params_new, OptimizerState(m=m_new, v=v_new, step_count=t)
+    g = grads.flat.astype(np.float64)
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * np.square(g)
+    decayed = params.flat.astype(np.float64) * (1.0 - lr * config.weight_decay)
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+    new_params = EncoderParams(params.config, (decayed - step).astype(params.dtype))
+    return new_params, OptimizerState(m=m, v=v, step_count=t)
 
 
 def _plan_epoch(n_pairs: int, config: TrainingConfig) -> int:
@@ -283,9 +283,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         struct.pack("<I", len(meta_json)),
         meta_json,
         ckpt.vocab_hash,
+        ckpt.params.flat.astype("<f4", copy=False).tobytes(),
     ]
-    for _, arr in ckpt.params.tensors():
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -315,17 +314,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     vocab_hash = blob[offset : offset + _HASH_BYTES]
     offset += _HASH_BYTES
 
-    params = empty_params(config, np.float32)
-    for name, arr in params.tensors():
-        nbytes = arr.size * 4
-        if offset + nbytes > len(blob):
-            raise FormatError(f"{p}: truncated checkpoint (missing bytes of {name})")
-        arr[...] = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=offset).reshape(
-            arr.shape
-        )
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"{p}: {len(blob) - offset} trailing bytes after the last tensor")
+    size = len(blob) - offset
+    expected = 4 * config.n_params
+    if size != expected:
+        problem = "truncated checkpoint" if size < expected else "trailing bytes after the last tensor"
+        raise FormatError(f"{p}: {problem} ({size} parameter bytes, the config needs {expected})")
+    flat = np.frombuffer(blob, dtype="<f4", offset=offset).astype(np.float32)
+    params = EncoderParams(config, flat)
     return Checkpoint(
         config=config, vocab_hash=vocab_hash, params=params, training_meta=training_meta
     )

@@ -243,6 +243,20 @@ class TestExitCodes:
         assert code == 2
         assert "hash mismatch" in capsys.readouterr().err
 
+    def test_negative_seed_exits_two(self, workdir, tmp_path, capsys):
+        code = dispatch([
+            "toy-teacher", "--corpus", str(workdir["corpus"]), "--out", str(tmp_path / "t.xlte"),
+            "--dim", "8", "--heads", "2", "--seed", "-1",
+        ])
+        assert code == 2
+        code = dispatch([
+            "train", "--corpus", str(workdir["corpus"]), "--teacher", str(workdir["teacher"]),
+            "--vocab", str(workdir["vocab"]), "--out", str(tmp_path / "m.bemb"),
+            "--loss", "mse", "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_incompatible_dims_exit_two(self, workdir, tmp_path, capsys):
         code = dispatch([
             "train", "--corpus", str(workdir["corpus"]), "--teacher", str(workdir["teacher"]),

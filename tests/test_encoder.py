@@ -35,6 +35,8 @@ class TestConfig:
             EncoderConfig(vocab_size=10, dim=8, n_layers=0, n_heads=2)
         with pytest.raises(ValidationError):
             EncoderConfig(vocab_size=10, dim=8, n_layers=1, n_heads=2, max_len=0)
+        with pytest.raises(ValidationError):
+            EncoderConfig(vocab_size=10, dim=8, n_layers=1, n_heads=2, seed=-1)
 
 
 class TestInit:
@@ -80,6 +82,18 @@ class TestInit:
         per_layer = 4 * d * d + 2 * d * f + 9 * d + f
         expected = c.vocab_size * d + c.max_len * d + c.n_layers * per_layer + 2 * d
         assert init_params(c).n_params == expected
+        assert c.n_params == expected
+
+    def test_tensors_are_views_into_flat(self, tiny_config):
+        params = init_params(tiny_config)
+        offset = 0
+        for name, arr in params.tensors():
+            assert np.shares_memory(arr, params.flat), name
+            assert np.array_equal(arr.ravel(), params.flat[offset : offset + arr.size]), name
+            offset += arr.size
+        assert offset == params.flat.size
+        params.flat[:] = 0.0
+        assert not params.layers[0].ffn_in_w.any() and not params.final_gain.any()
 
 
 class TestForward:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import struct
 
@@ -162,6 +163,7 @@ class TestTrainingConfig:
             dict(eps=0.0),
             dict(scale=-1.0),
             dict(max_len=0),
+            dict(seed=-1),
         ]
         for kwargs in bad:
             with pytest.raises(ValidationError):
@@ -310,12 +312,18 @@ class TestCheckpointFile:
         path = tmp_path / "model.bemb"
         save_checkpoint(trained, path)
         blob = path.read_bytes()
+        (json_len,) = struct.unpack_from("<I", blob, 8)
+        meta = json.loads(blob[12 : 12 + json_len])
+        meta["config"]["vocab_size"] = 10**9
+        huge = json.dumps(meta).encode("utf-8")
         cases = {
             "bad magic": b"XXXX" + blob[4:],
             "bad version": blob[:4] + struct.pack("<I", 9) + blob[8:],
             "truncated tensor": blob[:-8],
             "trailing bytes": blob + b"\x00" * 4,
             "json overrun": blob[:8] + struct.pack("<I", 2**31) + blob[12:],
+            # The size check must come before the ~30 GiB allocation.
+            "huge vocab": blob[:8] + struct.pack("<I", len(huge)) + huge + blob[12 + json_len :],
         }
         for label, corrupted in cases.items():
             bad = tmp_path / "bad.bemb"
