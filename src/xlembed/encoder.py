@@ -432,8 +432,14 @@ def forward(params: EncoderParams, batch: list[TokenSeq]) -> tuple[EmbeddingBatc
     return EmbeddingBatch(vectors=embeddings), cache
 
 
-def backward(params: EncoderParams, cache: Cache, grad_output: np.ndarray) -> EncoderParams:
-    """Exact gradients of <grad_output, embeddings> w.r.t. every parameter."""
+def backward(
+    params: EncoderParams, cache: Cache, grad_output: np.ndarray, grads: EncoderParams
+) -> EncoderParams:
+    """Exact gradients of <grad_output, embeddings> w.r.t. every parameter.
+
+    ``grads`` is the caller's gradient buffer, laid out like ``params``: it
+    is zeroed, the gradients are accumulated into it, and it is returned.
+    """
     config = params.config
     grad_output = np.asarray(grad_output, dtype=params.dtype)
     if grad_output.shape != (cache.ids.shape[0], config.dim):
@@ -441,7 +447,9 @@ def backward(params: EncoderParams, cache: Cache, grad_output: np.ndarray) -> En
             f"grad_output shape {grad_output.shape} does not match "
             f"(batch, dim) = ({cache.ids.shape[0]}, {config.dim})"
         )
-    grads = params.zeros_like()
+    if grads.config != config or grads.dtype != params.dtype:
+        raise ValidationError("grads must have the config and dtype of params")
+    grads.flat.fill(0)
     d = config.dim
 
     d_pooled = grad_output / cache.counts[:, None]

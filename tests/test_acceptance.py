@@ -181,7 +181,7 @@ def test_encoder_and_loss_gradients_match_finite_differences():
         return float((emb.vectors * probe).sum())
 
     _, cache = forward(params, batch)
-    grads = backward(params, cache, probe)
+    grads = backward(params, cache, probe, params.zeros_like())
 
     eps = 1e-5
     worst_enc = 0.0

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlembed
 from xlembed import embed, load_checkpoint, load_vocab, read_teacher_file
 from xlembed.cli import dispatch
 
@@ -268,8 +271,16 @@ class TestExitCodes:
 
 
 def test_module_entry_point_help():
+    # The child must import the package under test, also when pytest put
+    # the source tree on sys.path (``pythonpath`` in pyproject.toml) rather
+    # than the environment.
+    package_root = str(Path(xlembed.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "xlembed", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "xlembed", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "build-vocab" in result.stdout

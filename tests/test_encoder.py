@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def loss_and_grads(params, batch, weights):
     """Scalar probe loss sum(embeddings * weights) and its exact gradients."""
     emb, cache = forward(params, batch)
     value = float((emb.vectors * weights).sum())
-    return value, backward(params, cache, weights)
+    return value, backward(params, cache, weights, params.zeros_like())
 
 
 class TestConfig:
@@ -212,13 +214,27 @@ class TestBackward:
         batch = encode_batch(tiny_vocab, ["the cat"], max_len=3)
         _, cache = forward(params, batch)
         with pytest.raises(ValidationError, match="grad_output"):
-            backward(params, cache, np.ones((2, tiny_config.dim)))
+            backward(params, cache, np.ones((2, tiny_config.dim)), params.zeros_like())
+
+    def test_zeroes_and_returns_the_callers_buffer(self, tiny_config, tiny_vocab):
+        params = init_params(tiny_config)
+        batch = encode_batch(tiny_vocab, ["the cat", "a dog ran"], max_len=4)
+        _, cache = forward(params, batch)
+        weights = np.ones((2, tiny_config.dim))
+        fresh = backward(params, cache, weights, params.zeros_like())
+        dirty = params.map(lambda a: np.full_like(a, np.nan))
+        assert backward(params, cache, weights, dirty) is dirty
+        assert dirty.flat.tobytes() == fresh.flat.tobytes()
+        wider = dataclasses.replace(tiny_config, vocab_size=tiny_config.vocab_size + 1)
+        for wrong in (init_params(tiny_config, dtype=np.float64), init_params(wider)):
+            with pytest.raises(ValidationError, match="grads"):
+                backward(params, cache, weights, wrong)
 
     def test_grads_mirror_param_tree(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
         batch = encode_batch(tiny_vocab, ["the cat"], max_len=3)
         _, cache = forward(params, batch)
-        grads = backward(params, cache, np.ones((1, tiny_config.dim)))
+        grads = backward(params, cache, np.ones((1, tiny_config.dim)), params.zeros_like())
         for (name_p, p), (name_g, g) in zip(params.tensors(), grads.tensors()):
             assert name_p == name_g
             assert p.shape == g.shape

@@ -78,8 +78,8 @@ def test_backward_on_trimmed_batch_matches_padded(texts, seed):
     assert cache_trimmed.ids.shape[1] == width
     assert np.allclose(emb_padded.vectors, emb_trimmed.vectors, rtol=1e-12, atol=1e-15)
 
-    grads_padded = backward(PARAMS_64, cache_padded, weights)
-    grads_trimmed = backward(PARAMS_64, cache_trimmed, weights)
+    grads_padded = backward(PARAMS_64, cache_padded, weights, PARAMS_64.zeros_like())
+    grads_trimmed = backward(PARAMS_64, cache_trimmed, weights, PARAMS_64.zeros_like())
     for (name, a), (_, b) in zip(grads_padded.tensors(), grads_trimmed.tensors()):
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12), name
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlembed import (
     EmbeddingBatch,
@@ -95,3 +99,22 @@ class TestToyTeacher:
         path = tmp_path / "toy.xlte"
         write_teacher_file(teacher, path)
         assert np.array_equal(read_teacher_file(path).embeddings.vectors, teacher.embeddings.vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 40), dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_write_read_write_is_byte_identical(count, dim, seed):
+    # Random float32 bit patterns with the all-ones exponent (inf, NaN)
+    # cleared, so every finite value, subnormals included, can appear.
+    bits = np.random.default_rng(seed).integers(0, 2**32, size=(count, dim), dtype=np.uint32)
+    non_finite = (bits & 0x7F800000) == 0x7F800000
+    bits[non_finite] &= ~np.uint32(0x00800000)
+    original = table(bits.view(np.float32))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.xlte"), Path(tmp, "b.xlte")
+        write_teacher_file(original, first)
+        loaded = read_teacher_file(first)
+        write_teacher_file(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert (loaded.count, loaded.dim) == (count, dim)
+    assert loaded.embeddings.vectors.tobytes() == bits.tobytes()

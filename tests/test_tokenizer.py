@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlembed import (
     PAD_ID,
@@ -135,3 +139,25 @@ class TestVocabFile:
     def test_content_hash_distinguishes_vocabularies(self, tiny_vocab):
         other = build_vocab(corpus_of(["completely different words"]))
         assert tiny_vocab.content_hash() != other.content_hash()
+
+
+# Tokens are whitespace-free words that stay one line: no control, space,
+# line or paragraph separator characters (and no lone surrogates), and
+# not spelled like a reserved entry, which build_vocab skips.
+tokens = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda w: w not in (PAD_TOKEN, UNK_TOKEN))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(tokens, min_size=1, max_size=60))
+def test_save_load_keeps_tokens_and_content_hash(words):
+    vocab = build_vocab(corpus_of([" ".join(words)]))
+    assert set(vocab.id_to_token[2:]) == set(words)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "vocab.txt")
+        save_vocab(vocab, path)
+        loaded = load_vocab(path)
+    assert loaded.id_to_token == vocab.id_to_token
+    assert loaded.token_to_id == vocab.token_to_id
+    assert loaded.content_hash() == vocab.content_hash()

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from xlembed import (
     TrainingConfig,
     ValidationError,
     adamw_step,
+    backward,
     embed,
     init_params,
     load_checkpoint,
@@ -27,6 +29,7 @@ from xlembed import (
     save_checkpoint,
     train,
 )
+from xlembed import trainer as trainer_module
 
 
 @pytest.fixture
@@ -88,9 +91,9 @@ class TestAdamW:
         grads = params.map(lambda a: np.ones_like(a))
         state = OptimizerState.zeros(params)
         config = quick_config(base_lr=0.1, weight_decay=0.0)
-        updated, state = adamw_step(params, grads, state, 0.1, config)
+        adamw_step(params, grads, state, 0.1, config)
         gain_before = 1.0
-        gain_after = float(updated.final_gain[0])
+        gain_after = float(params.final_gain[0])
         assert abs(gain_after - (gain_before - 0.1)) < 1e-7
         assert state.step_count == 1
 
@@ -99,8 +102,8 @@ class TestAdamW:
         grads = params.map(lambda a: np.ones_like(a))
         state = OptimizerState.zeros(params)
         config = quick_config(base_lr=0.1, weight_decay=0.0)
-        params, state = adamw_step(params, grads, state, 0.1, config)
-        params, state = adamw_step(params, grads, state, 0.1, config)
+        adamw_step(params, grads, state, 0.1, config)
+        adamw_step(params, grads, state, 0.1, config)
         # Bias-corrected moments stay at exactly g and g^2 for a constant
         # gradient, so each step subtracts the same amount.
         assert abs(float(params.final_gain[0]) - 0.8) < 1e-7
@@ -111,28 +114,26 @@ class TestAdamW:
         grads = params.zeros_like()
         state = OptimizerState.zeros(params)
         config = quick_config(base_lr=0.1, weight_decay=0.1)
-        updated, _ = adamw_step(params, grads, state, 0.1, config)
         # (1 - 0.1 * 0.1) = 0.99 exactly, applied in float64 then cast back.
         expected = (params.token_embedding.astype(np.float64) * 0.99).astype(np.float32)
-        assert np.array_equal(updated.token_embedding, expected)
-        assert float(updated.final_gain[0]) == np.float32(0.99)
+        adamw_step(params, grads, state, 0.1, config)
+        assert np.array_equal(params.token_embedding, expected)
+        assert float(params.final_gain[0]) == np.float32(0.99)
 
     def test_zero_lr_is_identity(self, tiny_config):
         params = init_params(tiny_config)
+        before = params.flat.copy()
         grads = params.map(lambda a: np.ones_like(a))
         state = OptimizerState.zeros(params)
-        updated, _ = adamw_step(params, grads, state, 0.0, quick_config())
-        for (name, before), (_, after) in zip(params.tensors(), updated.tensors()):
-            assert np.array_equal(before, after), name
+        adamw_step(params, grads, state, 0.0, quick_config())
+        assert params.flat.tobytes() == before.tobytes()
 
     def test_moments_are_float64_and_params_keep_dtype(self, tiny_config):
         params = init_params(tiny_config)
         state = OptimizerState.zeros(params)
         assert state.m.dtype == np.float64 and state.v.dtype == np.float64
-        updated, state = adamw_step(
-            params, params.map(np.ones_like), state, 1e-3, quick_config()
-        )
-        assert updated.dtype == np.float32
+        adamw_step(params, params.map(np.ones_like), state, 1e-3, quick_config())
+        assert params.dtype == np.float32
         assert state.m.dtype == np.float64
 
     def test_non_finite_gradients_name_the_tensor(self, tiny_config):
@@ -249,6 +250,30 @@ class TestTrain:
         assert ckpt.training_meta["steps"] == 3 * 2
         assert any("skipping" in rec.message for rec in caplog.records)
 
+    def test_steps_reuse_one_gradient_buffer_and_update_params_in_place(
+        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher
+    ):
+        calls = []
+
+        def recording_backward(params, cache, grad_output, grads):
+            calls.append(("backward", params.flat, grads))
+            return backward(params, cache, grad_output, grads)
+
+        def recording_adamw_step(params, grads, state, lr, config):
+            calls.append(("adamw_step", params.flat, grads))
+            return adamw_step(params, grads, state, lr, config)
+
+        with mock.patch.object(trainer_module, "backward", recording_backward), mock.patch.object(
+            trainer_module, "adamw_step", recording_adamw_step
+        ):
+            ckpt = train(tiny_corpus, random_teacher, tiny_vocab, tiny_config, quick_config())
+        steps = ckpt.training_meta["steps"]
+        assert [name for name, _, _ in calls] == ["backward", "adamw_step"] * steps
+        _, trained, grads = calls[0]
+        for _, flat, call_grads in calls:
+            assert flat is trained and call_grads is grads
+        assert ckpt.params.flat.tobytes() == trained.tobytes()
+
     def test_alignment_validation(self, tiny_corpus, tiny_vocab, tiny_config, random_teacher):
         short = TeacherTable(
             embeddings=EmbeddingBatch(vectors=random_teacher.embeddings.vectors[:-1])
@@ -316,6 +341,9 @@ class TestCheckpointFile:
         meta = json.loads(blob[12 : 12 + json_len])
         meta["config"]["vocab_size"] = 10**9
         huge = json.dumps(meta).encode("utf-8")
+        meta["config"]["vocab_size"] = trained.config.vocab_size
+        meta["config"]["seed"] = -1
+        negative = json.dumps(meta).encode("utf-8")
         cases = {
             "bad magic": b"XXXX" + blob[4:],
             "bad version": blob[:4] + struct.pack("<I", 9) + blob[8:],
@@ -324,6 +352,9 @@ class TestCheckpointFile:
             "json overrun": blob[:8] + struct.pack("<I", 2**31) + blob[12:],
             # The size check must come before the ~30 GiB allocation.
             "huge vocab": blob[:8] + struct.pack("<I", len(huge)) + huge + blob[12 + json_len :],
+            "negative seed": (
+                blob[:8] + struct.pack("<I", len(negative)) + negative + blob[12 + json_len :]
+            ),
         }
         for label, corrupted in cases.items():
             bad = tmp_path / "bad.bemb"
