@@ -44,7 +44,6 @@ from .tokenizer import (
     PAD_TOKEN,
     UNK_ID,
     UNK_TOKEN,
-    TokenSeq,
     Vocab,
     build_vocab,
     decode,

@@ -346,10 +346,7 @@ def dispatch(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

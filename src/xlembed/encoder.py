@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ValidationError
-from .tokenizer import PAD_ID, TokenSeq, Vocab, encode_batch
+from .tokenizer import PAD_ID, Vocab, encode_batch
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
@@ -201,10 +201,8 @@ class Cache:
 
     ids: np.ndarray
     mask: np.ndarray
-    key_valid: np.ndarray
     layer_caches: list[tuple]
     final_norm_cache: tuple
-    final_hidden: np.ndarray
     counts: np.ndarray
 
 
@@ -364,42 +362,40 @@ def _block_backward(
 
 
 def _stack_batch(
-    batch: list[TokenSeq], config: EncoderConfig, dtype: Any
+    batch: list[list[int]], config: EncoderConfig, dtype: Any
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Pad the sentences to one width; returns (ids, mask in ``dtype``)."""
     if not batch:
         raise ValidationError("cannot encode an empty batch")
-    t_max = max(len(seq.ids) for seq in batch)
-    if t_max > config.max_len:
+    lengths = np.array([len(seq) for seq in batch])
+    if lengths.min() < 1:
+        raise ValidationError(f"sequence {int(lengths.argmin())}: no real tokens")
+    longest = int(lengths.max())
+    if longest > config.max_len:
         raise ValidationError(
-            f"sequence length {t_max} exceeds the encoder's max_len {config.max_len}"
+            f"sequence length {longest} exceeds the encoder's max_len {config.max_len}"
         )
-    ids = np.full((len(batch), t_max), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(batch), t_max), dtype=dtype)
+    t = max(longest, min(2, config.max_len))
+    ids = np.full((len(batch), t), PAD_ID, dtype=np.int64)
     for i, seq in enumerate(batch):
-        if len(seq.ids) != len(seq.mask):
-            raise ValidationError(f"sequence {i}: ids and mask lengths differ")
-        m = np.asarray(seq.mask)
-        if m.sum() < 1:
-            raise ValidationError(f"sequence {i}: mask has no real tokens")
-        if ((m != 0) & (m != 1)).any() or (np.diff(m) > 0).any():
-            raise ValidationError(f"sequence {i}: mask must be ones followed by zeros")
-        arr = np.asarray(seq.ids, dtype=np.int64)
-        if arr.min() < 0 or arr.max() >= config.vocab_size:
-            raise ValidationError(
-                f"sequence {i}: token id outside [0, {config.vocab_size})"
-            )
-        ids[i, : arr.size] = arr
-        mask[i, : m.size] = m
+        ids[i, : len(seq)] = seq
+    bad = ((ids < 0) | (ids >= config.vocab_size)).any(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"sequence {int(bad.argmax())}: token id outside [0, {config.vocab_size})"
+        )
+    mask = (np.arange(t) < lengths[:, None]).astype(dtype)
     return ids, mask
 
 
-def forward(params: EncoderParams, batch: list[TokenSeq]) -> tuple[EmbeddingBatch, Cache]:
-    """Embed a batch of token sequences; returns embeddings plus a cache.
+def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBatch, Cache]:
+    """Embed a batch of token-id sentences; returns embeddings plus a cache.
 
-    The batch is stacked at its longest sequence as given, padding
-    included, and every position is computed. Pad invariance makes padding
-    inert, so callers trim sequences to their real tokens to skip that
-    work (see ``embed``).
+    The batch is padded to its longest sentence, but never narrower than 2
+    positions: at width 1 NumPy runs each per-sentence matmul as a
+    matrix-vector product, which rounds differently. Pad invariance makes
+    the padding inert, so a row does not depend on the rest of its batch
+    (the README's Determinism section has the BLAS caveat).
     """
     config = params.config
     dtype = params.dtype
@@ -421,13 +417,7 @@ def forward(params: EncoderParams, batch: list[TokenSeq]) -> tuple[EmbeddingBatc
     embeddings = pooled / counts[:, None]
 
     cache = Cache(
-        ids=ids,
-        mask=mask,
-        key_valid=key_valid,
-        layer_caches=layer_caches,
-        final_norm_cache=lnfc,
-        final_hidden=xf,
-        counts=counts,
+        ids=ids, mask=mask, layer_caches=layer_caches, final_norm_cache=lnfc, counts=counts
     )
     return EmbeddingBatch(vectors=embeddings), cache
 
@@ -477,13 +467,11 @@ def embed(
 ) -> EmbeddingBatch:
     """Encode and embed sentences; caches are discarded.
 
-    Sentences are stable-sorted by real length and embedded in chunks of
-    ``batch_size``, each stacked at its own longest real length but never
-    narrower than 2 positions, and every row is written back to its input
-    position. Rows are independent of their chunk and of padding, so the
-    result is bit-identical to one padded pass over all texts. The floor
-    of 2 keeps it so: at width 1 NumPy runs each per-sentence matmul as a
-    matrix-vector product, which rounds differently.
+    Sentences are stable-sorted by length and embedded in chunks of
+    ``batch_size``, so each chunk is padded only to its own longest
+    sentence, and every row is written back to its input position. Rows
+    are independent of their chunk and of padding, so the result is
+    bit-identical to one pass over all texts.
     """
     if not texts:
         raise ValidationError("no texts to embed")
@@ -492,12 +480,10 @@ def embed(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
         )
     seqs = encode_batch(vocab, texts, max_len)
-    lengths = [seq.length for seq in seqs]
-    order = sorted(range(len(seqs)), key=lengths.__getitem__)
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     out = np.empty((len(seqs), params.config.dim), dtype=params.dtype)
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
-        width = max(2, lengths[chunk[-1]])
-        emb, _ = forward(params, [seqs[i].trimmed(width) for i in chunk])
+        emb, _ = forward(params, [seqs[i] for i in chunk])
         out[chunk] = emb.vectors
     return EmbeddingBatch(vectors=out)

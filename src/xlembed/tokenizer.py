@@ -2,7 +2,9 @@
 
 Two ids are reserved: 0 for padding, 1 for unknown tokens. Real tokens are
 ranked by descending corpus frequency, ties broken lexicographically, and
-assigned ids from 2 upward.
+assigned ids from 2 upward. A sentence is encoded as the list of its real
+token ids; it is never padded here. Padding exists only in the batches the
+encoder stacks, and id 0 never stands for a word.
 """
 
 from __future__ import annotations
@@ -40,26 +42,6 @@ class Vocab:
     def content_hash(self) -> bytes:
         """SHA-256 digest of the serialized vocabulary (32 bytes)."""
         return hashlib.sha256(self.serialize().encode("utf-8")).digest()
-
-
-@dataclass
-class TokenSeq:
-    """Fixed-length id sequence with a 0/1 attention mask.
-
-    The mask is a block of ones followed by zeros; real tokens never sit
-    after padding and there is at least one real token.
-    """
-
-    ids: list[int]
-    mask: list[int]
-
-    @property
-    def length(self) -> int:
-        return sum(self.mask)
-
-    def trimmed(self, width: int) -> "TokenSeq":
-        """The first ``width`` positions; callers keep every real token."""
-        return TokenSeq(ids=self.ids[:width], mask=self.mask[:width])
 
 
 def _tokens_from_vocab_list(tokens: list[str]) -> Vocab:
@@ -119,25 +101,25 @@ def load_vocab(path: str | Path) -> Vocab:
     return _tokens_from_vocab_list(lines[2:])
 
 
-def encode(vocab: Vocab, text: str, max_len: int) -> TokenSeq:
-    """Encode one sentence: split on whitespace, map to ids, truncate, pad.
+def encode(vocab: Vocab, text: str, max_len: int) -> list[int]:
+    """Encode one sentence: split on whitespace, map to ids, truncate.
 
-    Unknown words map to the unk id. Empty or whitespace-only text is
-    rejected.
+    Returns the ids of the first ``max_len`` words, unpadded. Unknown words
+    and words spelled like a reserved entry map to the unk id. Empty or
+    whitespace-only text is rejected.
     """
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
     words = text.split()
     if not words:
         raise ValidationError(f"cannot encode empty or whitespace-only text: {text!r}")
-    ids = [vocab.token_to_id.get(w, UNK_ID) for w in words[:max_len]]
-    n = len(ids)
-    return TokenSeq(ids=ids + [PAD_ID] * (max_len - n), mask=[1] * n + [0] * (max_len - n))
+    # PAD_ID is 0, so `or` turns a literal "<pad>" word into unk, not padding.
+    return [vocab.token_to_id.get(w, UNK_ID) or UNK_ID for w in words[:max_len]]
 
 
-def encode_batch(vocab: Vocab, texts: list[str], max_len: int) -> list[TokenSeq]:
-    """Encode many sentences to one uniform length; errors name the index."""
-    out: list[TokenSeq] = []
+def encode_batch(vocab: Vocab, texts: list[str], max_len: int) -> list[list[int]]:
+    """Encode many sentences; errors name the index."""
+    out: list[list[int]] = []
     for i, text in enumerate(texts):
         try:
             out.append(encode(vocab, text, max_len))
@@ -146,7 +128,6 @@ def encode_batch(vocab: Vocab, texts: list[str], max_len: int) -> list[TokenSeq]
     return out
 
 
-def decode(vocab: Vocab, seq: TokenSeq) -> str:
-    """Inverse of encode up to truncation and unknown words; skips padding."""
-    words = [vocab.id_to_token[i] for i, m in zip(seq.ids, seq.mask) if m]
-    return " ".join(words)
+def decode(vocab: Vocab, ids: list[int]) -> str:
+    """Inverse of encode up to truncation and unknown words."""
+    return " ".join(vocab.id_to_token[i] for i in ids)

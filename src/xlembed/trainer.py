@@ -247,8 +247,6 @@ def train(
     grads = params.zeros_like()
     state = OptimizerState.zeros(params)
     seqs = encode_batch(vocab, corpus.sources(), train_config.max_len)
-    # Strip padding once, so each batch stacks at its longest real sentence.
-    seqs = [seq.trimmed(seq.length) for seq in seqs]
     teacher_rows = np.asarray(teacher.embeddings.vectors)
     rng = np.random.default_rng(train_config.seed)
 

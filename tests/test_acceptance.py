@@ -18,7 +18,6 @@ from xlembed import (
     EmbeddingBatch,
     EncoderConfig,
     ParallelCorpus,
-    TokenSeq,
     TrainingConfig,
     backward,
     build_vocab,
@@ -169,9 +168,9 @@ def test_encoder_and_loss_gradients_match_finite_differences():
     )
     params = init_params(config, dtype=np.float64)
     batch = [
-        TokenSeq(ids=[5, 17, 42], mask=[1, 1, 1]),
-        TokenSeq(ids=[3, 3, 8, 49, 20], mask=[1, 1, 1, 1, 1]),
-        TokenSeq(ids=[11, 30, 0, 0], mask=[1, 1, 0, 0]),
+        [5, 17, 42],
+        [3, 3, 8, 49, 20],
+        [11, 30],
     ]
     rng = np.random.default_rng(2)
     probe = rng.normal(size=(3, config.dim))

@@ -223,6 +223,23 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_texts_exit_two(self, workdir, tmp_path, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_bytes(b"the cat\n\xff sat\n")
+        code = dispatch([
+            "embed", "--ckpt", str(workdir["ckpt"]), "--vocab", str(workdir["vocab"]),
+            "--texts", str(texts), "--out", str(tmp_path / "e.xlte"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(b"a b\tc d\n\xff e\tf g\n")
+        code = dispatch(["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_corrupt_teacher_exits_two(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.xlte"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")

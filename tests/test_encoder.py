@@ -10,7 +10,6 @@ import pytest
 from xlembed import (
     EmbeddingBatch,
     EncoderConfig,
-    TokenSeq,
     ValidationError,
     backward,
     embed,
@@ -105,15 +104,17 @@ class TestForward:
         emb, cache = forward(params, batch)
         assert emb.vectors.shape == (2, tiny_config.dim)
         assert np.isfinite(emb.vectors).all()
-        assert cache.ids.shape == (2, 5)
+        assert cache.ids.shape == (2, 3)
 
     def test_extra_padding_is_bit_exact_inert(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
         short = encode_batch(tiny_vocab, ["the cat", "a dog sat"], max_len=3)
-        long = encode_batch(tiny_vocab, ["the cat", "a dog sat"], max_len=6)
+        # A real sentence of max_len words pads the other two out to 6.
+        long = short + encode_batch(tiny_vocab, ["the sun is warm a dog"], max_len=6)
         emb_short, _ = forward(params, short)
-        emb_long, _ = forward(params, long)
-        assert np.array_equal(emb_short.vectors, emb_long.vectors)
+        emb_long, cache_long = forward(params, long)
+        assert cache_long.ids.shape[1] == 6
+        assert np.array_equal(emb_short.vectors, emb_long.vectors[:2])
 
     def test_rows_do_not_interact(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
@@ -148,13 +149,13 @@ class TestForward:
         with pytest.raises(ValidationError, match="empty batch"):
             forward(params, [])
         with pytest.raises(ValidationError, match="max_len"):
-            forward(params, [TokenSeq(ids=[2] * 7, mask=[1] * 7)])
+            forward(params, [[2] * 7])
         with pytest.raises(ValidationError, match="token id"):
-            forward(params, [TokenSeq(ids=[tiny_config.vocab_size], mask=[1])])
-        with pytest.raises(ValidationError, match="ones followed by zeros"):
-            forward(params, [TokenSeq(ids=[2, 0, 2], mask=[1, 0, 1])])
-        with pytest.raises(ValidationError, match="no real tokens"):
-            forward(params, [TokenSeq(ids=[0, 0], mask=[0, 0])])
+            forward(params, [[tiny_config.vocab_size]])
+        with pytest.raises(ValidationError, match="sequence 2: token id"):
+            forward(params, [[2], [2, 3], [2, -1], [tiny_config.vocab_size]])
+        with pytest.raises(ValidationError, match="sequence 1: no real tokens"):
+            forward(params, [[2], []])
         with pytest.raises(ValidationError, match="max_len"):
             embed(params, tiny_vocab, ["the"], max_len=tiny_config.max_len + 1)
 

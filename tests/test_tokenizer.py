@@ -70,16 +70,17 @@ class TestBuildVocab:
 
 class TestEncode:
     def test_known_unknown_and_padding(self, tiny_vocab):
-        seq = encode(tiny_vocab, "the qqqzzz", max_len=4)
-        assert seq.ids[0] == tiny_vocab.token_to_id["the"]
-        assert seq.ids[1] == UNK_ID
-        assert seq.ids[2:] == [PAD_ID, PAD_ID]
-        assert seq.mask == [1, 1, 0, 0]
+        ids = encode(tiny_vocab, "the qqqzzz", max_len=4)
+        assert ids == [tiny_vocab.token_to_id["the"], UNK_ID]
 
     def test_truncation(self, tiny_vocab):
-        seq = encode(tiny_vocab, "the the the the the", max_len=3)
-        assert len(seq.ids) == 3
-        assert seq.mask == [1, 1, 1]
+        ids = encode(tiny_vocab, "the the the the the", max_len=3)
+        assert ids == [tiny_vocab.token_to_id["the"]] * 3
+
+    def test_reserved_spellings_are_unknown_words(self, tiny_vocab):
+        ids = encode(tiny_vocab, f"{PAD_TOKEN} the {UNK_TOKEN}", max_len=4)
+        assert ids == [UNK_ID, tiny_vocab.token_to_id["the"], UNK_ID]
+        assert PAD_ID not in encode(tiny_vocab, f"{PAD_TOKEN} a", max_len=4)
 
     def test_empty_text_rejected(self, tiny_vocab):
         with pytest.raises(ValidationError):
@@ -89,7 +90,8 @@ class TestEncode:
 
     def test_batch_shares_layout_and_names_offender(self, tiny_vocab):
         seqs = encode_batch(tiny_vocab, ["the cat", "the"], max_len=4)
-        assert [s.mask for s in seqs] == [[1, 1, 0, 0], [1, 0, 0, 0]]
+        assert seqs == [encode(tiny_vocab, "the cat", 4), encode(tiny_vocab, "the", 4)]
+        assert [len(s) for s in seqs] == [2, 1]
         with pytest.raises(ValidationError, match="text 1"):
             encode_batch(tiny_vocab, ["fine", "  "], max_len=4)
 

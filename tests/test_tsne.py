@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlembed import (
     Layout2D,
@@ -160,6 +162,29 @@ class TestRunTsne:
         base = run_tsne(x, config)
         shuffled = run_tsne(x[perm], config)
         assert np.array_equal(shuffled, base[perm])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(8, 20),
+        dim=st.integers(1, 6),
+        perplexity_share=st.floats(0.0, 1.0),
+        iterations=st.integers(10, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_row_permutation_equivariance_at_random_shapes(
+        self, n, dim, perplexity_share, iterations, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim))
+        assert len({row.tobytes() for row in x}) == n
+        # Feasible perplexities lie in (1, (n - 1) / 3); keep clear of both ends.
+        perplexity = 1.1 + perplexity_share * ((n - 1) / 3.0 - 1.2)
+        config = TsneConfig(perplexity=perplexity, iterations=iterations, seed=seed % 1000)
+        perm = np.asarray(data.draw(st.permutations(range(n)), label="perm"))
+        base = run_tsne(x, config)
+        shuffled = run_tsne(x[perm], config)
+        assert shuffled.tobytes() == base[perm].tobytes()
 
     def test_callback_sees_every_iteration_and_final_layout(self):
         rng = np.random.default_rng(46)
