@@ -13,7 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import ParallelCorpus, load_labeled, load_parallel, load_scored_pairs, preprocess
+from .corpus import (
+    ParallelCorpus, load_labeled, load_parallel, load_scored_pairs, preprocess, read_lines
+)
 from .encoder import EncoderConfig, embed
 from .errors import ToolkitError, ValidationError
 from .evaluation import (
@@ -57,12 +59,9 @@ def _load_model(args: argparse.Namespace) -> tuple[Checkpoint, Vocab]:
 
 
 def _read_text_lines(path: str) -> list[str]:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"no such file: {p}")
-    lines = p.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines:
-        raise ValidationError(f"{p} contains no text lines")
+        raise ValidationError(f"{path} contains no text lines")
     return lines
 
 
@@ -346,7 +345,7 @@ def dispatch(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
-    except (ToolkitError, OSError, UnicodeDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,12 +69,15 @@ class LabeledSentences:
         return len(self.texts)
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 text file; a missing or non-UTF-8 file raises FormatError."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"no such file: {p}")
-    with open(p, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        return p.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
 def load_parallel(path: str | Path, format: str = "tsv") -> ParallelCorpus:
@@ -88,7 +91,7 @@ def load_parallel(path: str | Path, format: str = "tsv") -> ParallelCorpus:
     if format not in ("tsv", "jsonl"):
         raise ValidationError(f"unknown parallel format: {format!r} (expected 'tsv' or 'jsonl')")
     pairs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if format == "tsv":
             fields = line.split("\t")
             if len(fields) != 2:
@@ -115,7 +118,7 @@ def load_scored_pairs(path: str | Path) -> ScoredPairs:
     """Load three-column TSV of (text_a, text_b, score), score in [0, 5]."""
     pairs: list[tuple[str, str]] = []
     scores: list[float] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise FormatError(
@@ -142,7 +145,7 @@ def load_labeled(path: str | Path) -> LabeledSentences:
     labels: list[int] = []
     label_names: list[str] = []
     name_to_id: dict[str, int] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(

@@ -6,11 +6,12 @@ each wrapped in residual connections), a final layer norm, and masked mean
 pooling over real token positions. No dropout anywhere.
 
 The backward pass is written by hand so gradients are exact, not
-approximated. Three reductions run left-to-right over the sequence axis
-(softmax denominator, attention-weighted value sum, mean pool) so that
-appending pad tokens never changes an embedding, bit for bit: pad keys are
-masked to -inf before the softmax, which makes their contributions exactly
-zero, and adding a trailing zero leaves an IEEE float sum unchanged.
+approximated. Padding is inert by construction: attention scores, the
+softmax, the attention-weighted value sum and the mean pool of a sentence
+of n tokens are computed on its first n positions alone, so a pad position
+never enters a real row and appending pad tokens never changes an
+embedding, bit for bit. Pad rows and columns of the attention
+probabilities stay exactly zero.
 
 All computation happens in the dtype of the parameter arrays; float32 is
 the default, and tests run the same code in float64 for finite-difference
@@ -275,16 +276,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _ltr_sum_last(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis strictly left to right (pad-exact order)."""
-    acc = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        acc += x[..., j]
-    return acc
-
-
 def _block_forward(
-    x: np.ndarray, layer: LayerParams, key_valid: np.ndarray, n_heads: int
+    x: np.ndarray, layer: LayerParams, lengths: list[int], n_heads: int
 ) -> tuple[np.ndarray, tuple]:
     h1, ln1c = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
     q = h1 @ layer.attn_q_w + layer.attn_q_b
@@ -292,16 +285,15 @@ def _block_forward(
     v = h1 @ layer.attn_v_w + layer.attn_v_b
     qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
     alpha = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=x.dtype)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * alpha
-    neg_inf = np.asarray(-np.inf, dtype=x.dtype)
-    scores = np.where(key_valid[:, None, None, :], scores, neg_inf)
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    den = _ltr_sum_last(e)
-    probs = e / den[..., None]
-    ctx = probs[..., 0][..., None] * vh[:, :, 0][:, :, None, :]
-    for j in range(1, vh.shape[2]):
-        ctx += probs[..., j][..., None] * vh[:, :, j][:, :, None, :]
+    b, h, t, dh = qh.shape
+    probs = np.zeros((b, h, t, t), dtype=x.dtype)
+    ctx = np.zeros((b, h, t, dh), dtype=x.dtype)
+    for i, n in enumerate(lengths):
+        scores = (qh[i, :, :n] @ kh[i, :, :n].transpose(0, 2, 1)) * alpha
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        probs[i, :, :n, :n] = p
+        ctx[i, :, :n] = p @ vh[i, :, :n]
     cat = _merge_heads(ctx)
     attn = cat @ layer.attn_out_w + layer.attn_out_b
     x1 = x + attn
@@ -363,29 +355,33 @@ def _block_backward(
 
 def _stack_batch(
     batch: list[list[int]], config: EncoderConfig, dtype: Any
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pad the sentences to one width; returns (ids, mask in ``dtype``)."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Pad the sentences to one width; returns (ids, mask in ``dtype``, lengths)."""
     if not batch:
         raise ValidationError("cannot encode an empty batch")
-    lengths = np.array([len(seq) for seq in batch])
-    if lengths.min() < 1:
-        raise ValidationError(f"sequence {int(lengths.argmin())}: no real tokens")
-    longest = int(lengths.max())
+    lengths = [len(seq) for seq in batch]
+    if min(lengths) < 1:
+        raise ValidationError(f"sequence {lengths.index(min(lengths))}: no real tokens")
+    longest = max(lengths)
     if longest > config.max_len:
         raise ValidationError(
             f"sequence length {longest} exceeds the encoder's max_len {config.max_len}"
         )
+    # One check on the whole batch; only a failure looks for the sequence to
+    # name. (Valid signed and unsigned arrays concatenate to exact float64.)
+    flat = np.concatenate(batch)
+    if flat.dtype.kind not in "iu" or ((flat < 0) | (flat >= config.vocab_size)).any():
+        for i, seq in enumerate(batch):
+            seq = np.asarray(seq)
+            if seq.dtype.kind not in "iu":
+                raise ValidationError(f"sequence {i}: token ids must be integers, got {seq.dtype}")
+            if ((seq < 0) | (seq >= config.vocab_size)).any():
+                raise ValidationError(f"sequence {i}: token id outside [0, {config.vocab_size})")
     t = max(longest, min(2, config.max_len))
+    real = np.arange(t) < np.array(lengths)[:, None]
     ids = np.full((len(batch), t), PAD_ID, dtype=np.int64)
-    for i, seq in enumerate(batch):
-        ids[i, : len(seq)] = seq
-    bad = ((ids < 0) | (ids >= config.vocab_size)).any(axis=1)
-    if bad.any():
-        raise ValidationError(
-            f"sequence {int(bad.argmax())}: token id outside [0, {config.vocab_size})"
-        )
-    mask = (np.arange(t) < lengths[:, None]).astype(dtype)
-    return ids, mask
+    ids[real] = flat
+    return ids, real.astype(dtype), lengths
 
 
 def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBatch, Cache]:
@@ -393,28 +389,26 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
 
     The batch is padded to its longest sentence, but never narrower than 2
     positions: at width 1 NumPy runs each per-sentence matmul as a
-    matrix-vector product, which rounds differently. Pad invariance makes
-    the padding inert, so a row does not depend on the rest of its batch
-    (the README's Determinism section has the BLAS caveat).
+    matrix-vector product, which rounds differently. Only the position-wise
+    layers (projections, feed-forward, layer norms) run on the padded batch;
+    attention and pooling run on each sentence at its own length, so a row
+    does not depend on the rest of its batch (the README's Determinism
+    section has the BLAS caveat).
     """
     config = params.config
     dtype = params.dtype
-    ids, mask = _stack_batch(batch, config, dtype)
-    key_valid = mask > 0
-    t = ids.shape[1]
+    ids, mask, lengths = _stack_batch(batch, config, dtype)
 
-    x = params.token_embedding[ids] + params.position_embedding[:t][None, :, :]
+    x = params.token_embedding[ids] + params.position_embedding[: ids.shape[1]][None, :, :]
     layer_caches = []
     for layer in params.layers:
-        x, cache = _block_forward(x, layer, key_valid, config.n_heads)
+        x, cache = _block_forward(x, layer, lengths, config.n_heads)
         layer_caches.append(cache)
     xf, lnfc = _layer_norm_forward(x, params.final_gain, params.final_bias)
 
-    pooled = xf[:, 0, :] * mask[:, 0, None]
-    for pos in range(1, t):
-        pooled += xf[:, pos, :] * mask[:, pos, None]
-    counts = mask.sum(axis=1)
-    embeddings = pooled / counts[:, None]
+    counts = np.array(lengths, dtype=dtype)
+    embeddings = np.stack([xf[i, :n].sum(axis=0) for i, n in enumerate(lengths)])
+    embeddings /= counts[:, None]
 
     cache = Cache(
         ids=ids, mask=mask, layer_caches=layer_caches, final_norm_cache=lnfc, counts=counts
@@ -463,7 +457,7 @@ def embed(
     vocab: Vocab,
     texts: list[str],
     max_len: int,
-    batch_size: int = 256,
+    batch_size: int = 32,
 ) -> EmbeddingBatch:
     """Encode and embed sentences; caches are discarded.
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, read_lines
 from .errors import FormatError, ValidationError
 
 PAD_ID = 0
@@ -91,9 +91,7 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     p = Path(path)
-    if not p.is_file():
-        raise FormatError(f"no such file: {p}")
-    lines = p.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(p)
     if len(lines) < 3:
         raise FormatError(f"{p}: vocabulary needs the 2 reserved entries plus at least 1 token")
     if lines[0] != PAD_TOKEN or lines[1] != UNK_TOKEN:

@@ -162,3 +162,17 @@ class TestEvalLoaders:
         p = write(tmp_path / "l.tsv", "s1\tonly\ns2\tonly\n")
         with pytest.raises(ValidationError, match="2 distinct classes"):
             load_labeled(p)
+
+
+def test_non_utf8_files_are_format_errors_naming_them(tmp_path):
+    loaders = {
+        "parallel.tsv": lambda p: load_parallel(p, "tsv"),
+        "parallel.jsonl": lambda p: load_parallel(p, "jsonl"),
+        "scored.tsv": load_scored_pairs,
+        "labeled.tsv": load_labeled,
+    }
+    for name, load in loaders.items():
+        path = tmp_path / name
+        path.write_bytes(b"a\tb\n\xff\tc\n")
+        with pytest.raises(FormatError, match=f"{name}: not UTF-8"):
+            load(path)

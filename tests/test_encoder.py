@@ -156,6 +156,10 @@ class TestForward:
             forward(params, [[2], [2, 3], [2, -1], [tiny_config.vocab_size]])
         with pytest.raises(ValidationError, match="sequence 1: no real tokens"):
             forward(params, [[2], []])
+        with pytest.raises(ValidationError, match="sequence 0: token ids must be integers"):
+            forward(params, [[2.9, 3]])
+        with pytest.raises(ValidationError, match="sequence 1: token ids must be integers"):
+            forward(params, [[2], [2**70]])
         with pytest.raises(ValidationError, match="max_len"):
             embed(params, tiny_vocab, ["the"], max_len=tiny_config.max_len + 1)
 

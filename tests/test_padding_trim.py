@@ -38,20 +38,46 @@ CONFIG = EncoderConfig(
 PARAMS = init_params(CONFIG)
 PARAMS_64 = init_params(CONFIG, dtype=np.float64)
 
+# The larger bench width. Its stacks start at 16 positions: OpenBLAS may
+# round a float32 product with inner dimension 512 differently below that
+# (the README's BLAS caveat).
+CONFIG_128 = EncoderConfig(
+    vocab_size=VOCAB.size, dim=128, n_layers=2, n_heads=4, ffn_mult=4, max_len=64, seed=12
+)
+PARAMS_128 = init_params(CONFIG_128)
+
 words = st.sampled_from(WORDS + ["unknown"])
 sentence = st.lists(words, min_size=1, max_size=12).map(" ".join)
+long_sentence = st.lists(words, min_size=16, max_size=63).map(" ".join)
 LONGEST = " ".join(WORDS[:MAX_LEN])
+LONGEST_64 = " ".join((WORDS * 2)[:64])
+
+
+def assert_rows_equal_alone(params, texts, longest):
+    """Each row of ``texts + [longest]`` equals the sentence embedded alone."""
+    max_len = params.config.max_len
+    batch = encode_batch(VOCAB, texts + [longest], max_len)
+    together, cache = forward(params, batch)
+    assert cache.ids.shape[1] == max_len
+    for i, seq in enumerate(batch[:-1]):
+        alone = forward(params, [seq])[0].vectors[0]
+        assert together.vectors[i].tobytes() == alone.tobytes(), texts[i]
+    # Attention never reaches padding: pad rows and pad columns of every
+    # layer's probabilities are exactly zero.
+    for layer_cache in cache.layer_caches:
+        probs = layer_cache[6]
+        for i, seq in enumerate(batch):
+            assert not probs[i, :, len(seq):, :].any() and not probs[i, :, :, len(seq):].any()
 
 
 @settings(max_examples=60, deadline=None)
-@given(texts=st.lists(sentence, min_size=1, max_size=8))
-def test_rows_of_a_padded_batch_equal_each_sentence_alone(texts):
-    batch = encode_batch(VOCAB, texts + [LONGEST], MAX_LEN)
-    together, cache = forward(PARAMS, batch)
-    assert cache.ids.shape[1] == MAX_LEN
-    for i, seq in enumerate(batch[:-1]):
-        alone = forward(PARAMS, [seq])[0].vectors[0]
-        assert together.vectors[i].tobytes() == alone.tobytes(), texts[i]
+@given(
+    texts=st.lists(sentence, min_size=1, max_size=8),
+    long_texts=st.lists(long_sentence, min_size=1, max_size=3),
+)
+def test_rows_of_a_padded_batch_equal_each_sentence_alone(texts, long_texts):
+    assert_rows_equal_alone(PARAMS, texts, LONGEST)
+    assert_rows_equal_alone(PARAMS_128, long_texts, LONGEST_64)
 
 
 @settings(max_examples=40, deadline=None)

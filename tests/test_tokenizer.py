@@ -131,6 +131,12 @@ class TestVocabFile:
             with pytest.raises(FormatError):
                 load_vocab(path)
 
+    def test_non_utf8_file_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"<pad>\n<unk>\n\xff\n")
+        with pytest.raises(FormatError, match="vocab.txt: not UTF-8"):
+            load_vocab(path)
+
     def test_content_hash_matches_sha256_of_file_bytes(self, tiny_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
         save_vocab(tiny_vocab, path)

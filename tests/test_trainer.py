@@ -372,7 +372,7 @@ class TestCheckpointFile:
         path = tmp_path / "golden.bemb"
         save_checkpoint(ckpt, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "bbc3c94c182cf11813da4bd9ecf50211c1c9907fc1603e56c298089814ca76b9"
+        assert digest == "17815584934a8958fd26cb838d3865bd0ddb886352fc83cf5bf8bc812c3eb30c"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
