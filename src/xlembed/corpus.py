@@ -70,14 +70,19 @@ class LabeledSentences:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 text file; a missing or non-UTF-8 file raises FormatError."""
+    """Lines of a UTF-8 text file; a missing or non-UTF-8 file raises FormatError.
+
+    Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line; the other breaks of
+    ``str.splitlines`` (U+2028, ``\\x0c`` and so on) stay in the text.
+    """
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"no such file: {p}")
     try:
-        return p.read_text(encoding="utf-8").splitlines()
+        text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def load_parallel(path: str | Path, format: str = "tsv") -> ParallelCorpus:

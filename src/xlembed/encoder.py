@@ -2,16 +2,16 @@
 
 Forward pass: token + learned position embeddings, a stack of pre-norm
 transformer blocks (multi-head self-attention, then a GELU feed-forward,
-each wrapped in residual connections), a final layer norm, and masked mean
-pooling over real token positions. No dropout anywhere.
+each wrapped in residual connections), a final layer norm, and mean
+pooling over each sentence's tokens. No dropout anywhere.
 
 The backward pass is written by hand so gradients are exact, not
-approximated. Padding is inert by construction: attention scores, the
-softmax, the attention-weighted value sum and the mean pool of a sentence
-of n tokens are computed on its first n positions alone, so a pad position
-never enters a real row and appending pad tokens never changes an
-embedding, bit for bit. Pad rows and columns of the attention
-probabilities stay exactly zero.
+approximated. A batch is packed: the real tokens of all its sentences sit
+back to back as the rows of one ``(rows, dim)`` matrix, and every layer
+works on that matrix. The position-wise layers compute each row from that
+row alone; attention and pooling run on each sentence's own rows. So no
+work is done for padding, and a sentence's embedding does not depend on
+the other sentences of its batch, bit for bit.
 
 All computation happens in the dtype of the parameter arrays; float32 is
 the default, and tests run the same code in float64 for finite-difference
@@ -21,6 +21,7 @@ gradient checks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -35,6 +36,8 @@ _LN_EPS = 1e-5
 _INIT_STD = 0.02
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+Bounds = list[tuple[int, int]]  # each sentence's (start, end) rows in a packed batch
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,17 @@ class EmbeddingBatch:
 
 @dataclass
 class Cache:
-    """Intermediate activations saved by forward for the backward pass."""
+    """Intermediate activations saved by forward for the backward pass.
+
+    ``ids`` holds the packed token id of each row, and ``mask`` is 1 on
+    every real row and 0 on the padding row of a one-token batch. Backward
+    reads only ``ids`` of the two; both stay so a caller can weigh the rows
+    a batch cost (``ids.size``) against its real tokens (``mask.sum()``).
+    """
 
     ids: np.ndarray
     mask: np.ndarray
+    bounds: Bounds
     layer_caches: list[tuple]
     final_norm_cache: tuple
     counts: np.ndarray
@@ -244,17 +254,16 @@ def _layer_norm_forward(
 
 
 def _layer_norm_backward(
-    dy: np.ndarray, gain: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dy: np.ndarray, gain: np.ndarray, cache: tuple, dgain: np.ndarray, dbias: np.ndarray
+) -> np.ndarray:
+    """Input gradient; the gain and bias gradients are added to dgain and dbias."""
     xhat, inv = cache
-    d = dy.shape[-1]
     g = dy * gain
     m1 = g.mean(axis=-1, keepdims=True)
     m2 = (g * xhat).mean(axis=-1, keepdims=True)
-    dx = (g - m1 - xhat * m2) * inv
-    dgain = (dy * xhat).reshape(-1, d).sum(axis=0)
-    dbias = dy.reshape(-1, d).sum(axis=0)
-    return dx, dgain, dbias
+    dgain += (dy * xhat).sum(axis=0)
+    dbias += dy.sum(axis=0)
+    return (g - m1 - xhat * m2) * inv
 
 
 def _gelu(u: np.ndarray, erf_u: np.ndarray) -> np.ndarray:
@@ -266,37 +275,28 @@ def _gelu_grad(u: np.ndarray, erf_u: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf_u) + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
-
-
 def _block_forward(
-    x: np.ndarray, layer: LayerParams, lengths: list[int], n_heads: int
+    x: np.ndarray, layer: LayerParams, bounds: Bounds, n_heads: int
 ) -> tuple[np.ndarray, tuple]:
+    rows, d = x.shape
+    heads = (rows, n_heads, d // n_heads)
     h1, ln1c = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
-    q = h1 @ layer.attn_q_w + layer.attn_q_b
-    k = h1 @ layer.attn_k_w + layer.attn_k_b
-    v = h1 @ layer.attn_v_w + layer.attn_v_b
-    qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
-    alpha = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=x.dtype)
-    b, h, t, dh = qh.shape
-    probs = np.zeros((b, h, t, t), dtype=x.dtype)
-    ctx = np.zeros((b, h, t, dh), dtype=x.dtype)
-    for i, n in enumerate(lengths):
-        scores = (qh[i, :, :n] @ kh[i, :, :n].transpose(0, 2, 1)) * alpha
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
-        probs[i, :, :n, :n] = p
-        ctx[i, :, :n] = p @ vh[i, :, :n]
-    cat = _merge_heads(ctx)
-    attn = cat @ layer.attn_out_w + layer.attn_out_b
-    x1 = x + attn
+    # (heads, rows, dh) views of the projections: a sentence is a slice.
+    qh = (h1 @ layer.attn_q_w + layer.attn_q_b).reshape(heads).transpose(1, 0, 2)
+    kh = (h1 @ layer.attn_k_w + layer.attn_k_b).reshape(heads).transpose(1, 0, 2)
+    vh = (h1 @ layer.attn_v_w + layer.attn_v_b).reshape(heads).transpose(1, 0, 2)
+    alpha = np.asarray(1.0 / math.sqrt(heads[2]), dtype=x.dtype)
+    ctx = np.zeros(heads, dtype=x.dtype)
+    ctxh = ctx.transpose(1, 0, 2)
+    probs = []
+    for s, e in bounds:
+        scores = (qh[:, s:e] @ kh[:, s:e].transpose(0, 2, 1)) * alpha
+        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = ex / ex.sum(axis=-1, keepdims=True)
+        probs.append(p)
+        ctxh[:, s:e] = p @ vh[:, s:e]
+    cat = ctx.reshape(rows, d)
+    x1 = x + (cat @ layer.attn_out_w + layer.attn_out_b)
     h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
     u = h2 @ layer.ffn_in_w + layer.ffn_in_b
     erf_u = erf(u * _INV_SQRT2)
@@ -306,57 +306,51 @@ def _block_forward(
 
 
 def _block_backward(
-    d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams
+    d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams, bounds: Bounds
 ) -> np.ndarray:
     h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, erf_u = cache
-    g = _gelu(u, erf_u)
-    d = d_out.shape[-1]
-    f = g.shape[-1]
+    n_heads, rows, dh = qh.shape
 
-    d_x1 = d_out.copy()
-    d_g = d_out @ layer.ffn_out_w.T
-    grads.ffn_out_w += g.reshape(-1, f).T @ d_out.reshape(-1, d)
-    grads.ffn_out_b += d_out.reshape(-1, d).sum(axis=0)
-    d_u = d_g * _gelu_grad(u, erf_u)
-    d_h2 = d_u @ layer.ffn_in_w.T
-    grads.ffn_in_w += h2.reshape(-1, d).T @ d_u.reshape(-1, f)
-    grads.ffn_in_b += d_u.reshape(-1, f).sum(axis=0)
-    dx, dgain, dbias = _layer_norm_backward(d_h2, layer.norm2_gain, ln2c)
-    grads.norm2_gain += dgain
-    grads.norm2_bias += dbias
-    d_x1 += dx
+    grads.ffn_out_w += _gelu(u, erf_u).T @ d_out
+    grads.ffn_out_b += d_out.sum(axis=0)
+    d_u = (d_out @ layer.ffn_out_w.T) * _gelu_grad(u, erf_u)
+    grads.ffn_in_w += h2.T @ d_u
+    grads.ffn_in_b += d_u.sum(axis=0)
+    d_x1 = d_out + _layer_norm_backward(
+        d_u @ layer.ffn_in_w.T, layer.norm2_gain, ln2c, grads.norm2_gain, grads.norm2_bias
+    )
 
-    d_xin = d_x1.copy()
-    d_cat = d_x1 @ layer.attn_out_w.T
-    grads.attn_out_w += cat.reshape(-1, d).T @ d_x1.reshape(-1, d)
-    grads.attn_out_b += d_x1.reshape(-1, d).sum(axis=0)
-    d_ctx = _split_heads(d_cat, probs.shape[1])
-    d_probs = d_ctx @ vh.transpose(0, 1, 3, 2)
-    d_vh = probs.transpose(0, 1, 3, 2) @ d_ctx
-    rowdot = (d_probs * probs).sum(axis=-1, keepdims=True)
-    d_scores = (d_probs - rowdot) * probs
-    d_qh = (d_scores @ kh) * alpha
-    d_kh = (d_scores.transpose(0, 1, 3, 2) @ qh) * alpha
-    d_q, d_k, d_v = (_merge_heads(a) for a in (d_qh, d_kh, d_vh))
+    grads.attn_out_w += cat.T @ d_x1
+    grads.attn_out_b += d_x1.sum(axis=0)
+    d_ctxh = (d_x1 @ layer.attn_out_w.T).reshape(rows, n_heads, dh).transpose(1, 0, 2)
+    d_qkv = np.zeros((3, rows, n_heads, dh), dtype=h1.dtype)
+    d_qh, d_kh, d_vh = d_qkv.transpose(0, 2, 1, 3)
+    for p, (s, e) in zip(probs, bounds):
+        d_probs = d_ctxh[:, s:e] @ vh[:, s:e].transpose(0, 2, 1)
+        d_vh[:, s:e] = p.transpose(0, 2, 1) @ d_ctxh[:, s:e]
+        d_scores = (d_probs - (d_probs * p).sum(axis=-1, keepdims=True)) * p
+        d_qh[:, s:e] = d_scores @ kh[:, s:e]
+        d_kh[:, s:e] = d_scores.transpose(0, 2, 1) @ qh[:, s:e]
+    d_qkv[:2] *= alpha
+    d_q, d_k, d_v = d_qkv.reshape(3, rows, -1)
     d_h1 = d_q @ layer.attn_q_w.T + d_k @ layer.attn_k_w.T + d_v @ layer.attn_v_w.T
-    flat_h1 = h1.reshape(-1, d)
-    grads.attn_q_w += flat_h1.T @ d_q.reshape(-1, d)
-    grads.attn_q_b += d_q.reshape(-1, d).sum(axis=0)
-    grads.attn_k_w += flat_h1.T @ d_k.reshape(-1, d)
-    grads.attn_k_b += d_k.reshape(-1, d).sum(axis=0)
-    grads.attn_v_w += flat_h1.T @ d_v.reshape(-1, d)
-    grads.attn_v_b += d_v.reshape(-1, d).sum(axis=0)
-    dx, dgain, dbias = _layer_norm_backward(d_h1, layer.norm1_gain, ln1c)
-    grads.norm1_gain += dgain
-    grads.norm1_bias += dbias
-    d_xin += dx
-    return d_xin
+    grads.attn_q_w += h1.T @ d_q
+    grads.attn_q_b += d_q.sum(axis=0)
+    grads.attn_k_w += h1.T @ d_k
+    grads.attn_k_b += d_k.sum(axis=0)
+    grads.attn_v_w += h1.T @ d_v
+    grads.attn_v_b += d_v.sum(axis=0)
+    return d_x1 + _layer_norm_backward(
+        d_h1, layer.norm1_gain, ln1c, grads.norm1_gain, grads.norm1_bias
+    )
 
 
-def _stack_batch(
-    batch: list[list[int]], config: EncoderConfig, dtype: Any
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Pad the sentences to one width; returns (ids, mask in ``dtype``, lengths)."""
+def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, list[int]]:
+    """Concatenate the sentences' token ids; returns (int64 ids, lengths).
+
+    A one-token batch gets a ``PAD_ID`` row (unless ``max_len`` is 1): a
+    one-row product runs as a matrix-vector product and rounds differently.
+    """
     if not batch:
         raise ValidationError("cannot encode an empty batch")
     lengths = [len(seq) for seq in batch]
@@ -377,43 +371,42 @@ def _stack_batch(
                 raise ValidationError(f"sequence {i}: token ids must be integers, got {seq.dtype}")
             if ((seq < 0) | (seq >= config.vocab_size)).any():
                 raise ValidationError(f"sequence {i}: token id outside [0, {config.vocab_size})")
-    t = max(longest, min(2, config.max_len))
-    real = np.arange(t) < np.array(lengths)[:, None]
-    ids = np.full((len(batch), t), PAD_ID, dtype=np.int64)
-    ids[real] = flat
-    return ids, real.astype(dtype), lengths
+    ids = flat.astype(np.int64)
+    if ids.size < min(2, config.max_len):
+        ids = np.append(ids, PAD_ID)
+    return ids, lengths
 
 
 def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBatch, Cache]:
     """Embed a batch of token-id sentences; returns embeddings plus a cache.
 
-    The batch is padded to its longest sentence, but never narrower than 2
-    positions: at width 1 NumPy runs each per-sentence matmul as a
-    matrix-vector product, which rounds differently. Only the position-wise
-    layers (projections, feed-forward, layer norms) run on the padded batch;
-    attention and pooling run on each sentence at its own length, so a row
-    does not depend on the rest of its batch (the README's Determinism
-    section has the BLAS caveat).
+    The sentences' tokens are packed back to back as the rows of one
+    matrix. The position-wise layers (projections, feed-forward, layer
+    norms) run on the whole matrix; attention and mean pooling run on each
+    sentence's own rows, so a row does not depend on the rest of its batch
+    (the README's Determinism section has the BLAS caveat). Only a batch of
+    one token in total gets a padding row (see ``_pack``).
     """
     config = params.config
-    dtype = params.dtype
-    ids, mask, lengths = _stack_batch(batch, config, dtype)
+    ids, lengths = _pack(batch, config)
+    ends = list(itertools.accumulate(lengths))
+    bounds = [(e - n, e) for n, e in zip(lengths, ends)]
+    mask = (np.arange(ids.size) < ends[-1]).astype(params.dtype)
 
-    x = params.token_embedding[ids] + params.position_embedding[: ids.shape[1]][None, :, :]
+    x = params.token_embedding[ids]
+    for s, e in bounds:
+        x[s:e] += params.position_embedding[: e - s]
     layer_caches = []
     for layer in params.layers:
-        x, cache = _block_forward(x, layer, lengths, config.n_heads)
+        x, cache = _block_forward(x, layer, bounds, config.n_heads)
         layer_caches.append(cache)
     xf, lnfc = _layer_norm_forward(x, params.final_gain, params.final_bias)
 
-    counts = np.array(lengths, dtype=dtype)
-    embeddings = np.stack([xf[i, :n].sum(axis=0) for i, n in enumerate(lengths)])
+    counts = np.array(lengths, dtype=params.dtype)
+    embeddings = np.stack([xf[s:e].sum(axis=0) for s, e in bounds])
     embeddings /= counts[:, None]
 
-    cache = Cache(
-        ids=ids, mask=mask, layer_caches=layer_caches, final_norm_cache=lnfc, counts=counts
-    )
-    return EmbeddingBatch(vectors=embeddings), cache
+    return EmbeddingBatch(vectors=embeddings), Cache(ids, mask, bounds, layer_caches, lnfc, counts)
 
 
 def backward(
@@ -426,29 +419,31 @@ def backward(
     """
     config = params.config
     grad_output = np.asarray(grad_output, dtype=params.dtype)
-    if grad_output.shape != (cache.ids.shape[0], config.dim):
+    if grad_output.shape != (len(cache.bounds), config.dim):
         raise ValidationError(
             f"grad_output shape {grad_output.shape} does not match "
-            f"(batch, dim) = ({cache.ids.shape[0]}, {config.dim})"
+            f"(batch, dim) = ({len(cache.bounds)}, {config.dim})"
         )
     if grads.config != config or grads.dtype != params.dtype:
         raise ValidationError("grads must have the config and dtype of params")
     grads.flat.fill(0)
-    d = config.dim
 
     d_pooled = grad_output / cache.counts[:, None]
-    d_xf = d_pooled[:, None, :] * cache.mask[:, :, None]
-    d_x, dgain, dbias = _layer_norm_backward(d_xf, params.final_gain, cache.final_norm_cache)
-    grads.final_gain += dgain
-    grads.final_bias += dbias
+    d_xf = np.zeros((cache.ids.size, config.dim), dtype=params.dtype)
+    for row, (s, e) in zip(d_pooled, cache.bounds):
+        d_xf[s:e] = row
+    d_x = _layer_norm_backward(
+        d_xf, params.final_gain, cache.final_norm_cache, grads.final_gain, grads.final_bias
+    )
 
     for layer, layer_grads, layer_cache in zip(
         reversed(params.layers), reversed(grads.layers), reversed(cache.layer_caches)
     ):
-        d_x = _block_backward(d_x, layer, layer_cache, layer_grads)
+        d_x = _block_backward(d_x, layer, layer_cache, layer_grads, cache.bounds)
 
-    np.add.at(grads.token_embedding, cache.ids.reshape(-1), d_x.reshape(-1, d))
-    grads.position_embedding[: cache.ids.shape[1]] += d_x.sum(axis=0)
+    np.add.at(grads.token_embedding, cache.ids, d_x)
+    for s, e in cache.bounds:
+        grads.position_embedding[: e - s] += d_x[s:e]
     return grads
 
 
@@ -461,11 +456,9 @@ def embed(
 ) -> EmbeddingBatch:
     """Encode and embed sentences; caches are discarded.
 
-    Sentences are stable-sorted by length and embedded in chunks of
-    ``batch_size``, so each chunk is padded only to its own longest
-    sentence, and every row is written back to its input position. Rows
-    are independent of their chunk and of padding, so the result is
-    bit-identical to one pass over all texts.
+    Sentences are embedded in input order, in chunks of ``batch_size``.
+    Rows are independent of their chunk, so the result is bit-identical to
+    one pass over all texts.
     """
     if not texts:
         raise ValidationError("no texts to embed")
@@ -473,11 +466,11 @@ def embed(
         raise ValidationError(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
         )
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     seqs = encode_batch(vocab, texts, max_len)
-    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
-    out = np.empty((len(seqs), params.config.dim), dtype=params.dtype)
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        emb, _ = forward(params, [seqs[i] for i in chunk])
-        out[chunk] = emb.vectors
-    return EmbeddingBatch(vectors=out)
+    chunks = [
+        forward(params, seqs[start : start + batch_size])[0].vectors
+        for start in range(0, len(seqs), batch_size)
+    ]
+    return EmbeddingBatch(vectors=np.concatenate(chunks))

@@ -3,8 +3,9 @@
 Two ids are reserved: 0 for padding, 1 for unknown tokens. Real tokens are
 ranked by descending corpus frequency, ties broken lexicographically, and
 assigned ids from 2 upward. A sentence is encoded as the list of its real
-token ids; it is never padded here. Padding exists only in the batches the
-encoder stacks, and id 0 never stands for a word.
+token ids; it is never padded. The encoder packs a batch's real tokens
+back to back, adding a padding row only to a batch of one token (a
+one-row product rounds differently), and id 0 never stands for a word.
 """
 
 from __future__ import annotations

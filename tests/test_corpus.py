@@ -17,6 +17,7 @@ from xlembed import (
     preprocess,
     split,
 )
+from xlembed.corpus import read_lines
 
 
 def write(path, text):
@@ -65,6 +66,26 @@ class TestLoadParallel:
         p = write(tmp_path / "c.tsv", "a\tb\n")
         with pytest.raises(ValidationError):
             load_parallel(p, "csv")
+
+
+# Characters that str.splitlines() breaks on but a text file keeps in a line.
+NON_NEWLINE_BREAKS = ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", NON_NEWLINE_BREAKS)
+class TestOnlyNewlinesEndLines:
+    def test_text_and_tsv(self, tmp_path, sep):
+        p = write(tmp_path / "c.tsv", f"alpha\ta\ngamma{sep}delta\tg\r\nomega\to\n")
+        assert read_lines(p) == ["alpha\ta", f"gamma{sep}delta\tg", "omega\to"]
+        assert load_parallel(p, "tsv").pairs[1] == (f"gamma{sep}delta", "g")
+
+    def test_jsonl(self, tmp_path, sep):
+        # json.dumps escapes the control characters; U+0085, U+2028 and
+        # U+2029 reach the file raw.
+        rows = [("alpha", "a"), (f"gamma{sep}delta", "g"), ("omega", "o")]
+        lines = (json.dumps({"src": s, "tgt": t}, ensure_ascii=False) for s, t in rows)
+        p = write(tmp_path / "c.jsonl", "\n".join(lines) + "\n")
+        assert load_parallel(p, "jsonl").pairs == rows
 
 
 class TestPreprocess:

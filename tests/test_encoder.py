@@ -104,16 +104,16 @@ class TestForward:
         emb, cache = forward(params, batch)
         assert emb.vectors.shape == (2, tiny_config.dim)
         assert np.isfinite(emb.vectors).all()
-        assert cache.ids.shape == (2, 3)
+        assert cache.ids.shape == (5,)
 
     def test_extra_padding_is_bit_exact_inert(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
         short = encode_batch(tiny_vocab, ["the cat", "a dog sat"], max_len=3)
-        # A real sentence of max_len words pads the other two out to 6.
+        # A real sentence of max_len words packs beside the other two.
         long = short + encode_batch(tiny_vocab, ["the sun is warm a dog"], max_len=6)
         emb_short, _ = forward(params, short)
         emb_long, cache_long = forward(params, long)
-        assert cache_long.ids.shape[1] == 6
+        assert cache_long.ids.shape == (2 + 3 + 6,)
         assert np.array_equal(emb_short.vectors, emb_long.vectors[:2])
 
     def test_rows_do_not_interact(self, tiny_config, tiny_vocab):
@@ -162,6 +162,9 @@ class TestForward:
             forward(params, [[2], [2**70]])
         with pytest.raises(ValidationError, match="max_len"):
             embed(params, tiny_vocab, ["the"], max_len=tiny_config.max_len + 1)
+        for batch_size in (0, -1):
+            with pytest.raises(ValidationError, match="batch_size"):
+                embed(params, tiny_vocab, ["the", "a dog"], max_len=4, batch_size=batch_size)
 
     def test_embedding_batch_validation(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,11 @@
-"""Padding trim: `embed` and `train` skip padded positions without changing results.
+"""Packed batches: `forward` does no work for padding, and no row depends on its batch.
 
-Properties over random texts, input orders, chunk sizes and paddings, at the
-paper-default width of dim 32. Sentences carry no padding of their own, so a
-batch is padded out by adding a real ``MAX_LEN``-word sentence to it.
+`forward` packs the real tokens of a batch back to back, so its cache holds
+one row per real token (`bench/tracing.py` reads that from `Cache.ids` and
+`Cache.mask`). Properties over random texts, input orders, chunk sizes and
+batch neighbours, at the paper-default width of dim 32 and at dim 128: a
+sentence's row must not change when a real ``MAX_LEN``-word sentence joins
+its batch, and the gradients must not change beyond rounding.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ CONFIG = EncoderConfig(
 PARAMS = init_params(CONFIG)
 PARAMS_64 = init_params(CONFIG, dtype=np.float64)
 
-# The larger bench width. Its stacks start at 16 positions: OpenBLAS may
-# round a float32 product with inner dimension 512 differently below that
-# (the README's BLAS caveat).
+# The larger bench width. Its sentences have 16 or more tokens, so every
+# product has at least 16 rows: OpenBLAS may round a float32 product with
+# inner dimension 512 differently below that (the README's BLAS caveat).
 CONFIG_128 = EncoderConfig(
     vocab_size=VOCAB.size, dim=128, n_layers=2, n_heads=4, ffn_mult=4, max_len=64, seed=12
 )
@@ -58,16 +61,17 @@ def assert_rows_equal_alone(params, texts, longest):
     max_len = params.config.max_len
     batch = encode_batch(VOCAB, texts + [longest], max_len)
     together, cache = forward(params, batch)
-    assert cache.ids.shape[1] == max_len
+    assert cache.ids.size == sum(len(seq) for seq in batch)
     for i, seq in enumerate(batch[:-1]):
         alone = forward(params, [seq])[0].vectors[0]
         assert together.vectors[i].tobytes() == alone.tobytes(), texts[i]
-    # Attention never reaches padding: pad rows and pad columns of every
-    # layer's probabilities are exactly zero.
+    # Attention runs on each sentence's own tokens: every layer caches one
+    # (heads, n, n) probability block per sentence of n tokens.
     for layer_cache in cache.layer_caches:
         probs = layer_cache[6]
-        for i, seq in enumerate(batch):
-            assert not probs[i, :, len(seq):, :].any() and not probs[i, :, :, len(seq):].any()
+        assert [p.shape for p in probs] == [
+            (params.config.n_heads, len(seq), len(seq)) for seq in batch
+        ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,8 +95,8 @@ def test_embed_rows_match_one_padded_pass(one_word_texts, other_texts, data):
     reference = forward(PARAMS, encode_batch(VOCAB, texts + [LONGEST], MAX_LEN))[0].vectors[:-1]
 
     order = data.draw(st.permutations(range(len(texts))), label="order")
-    # Chunk sizes up to the number of one-word texts give a first chunk of
-    # one-word texts only, which needs the width floor of 2.
+    # A chunk size of 1 gives one-token chunks for the one-word texts, which
+    # need the row floor of 2.
     batch_size = data.draw(
         st.integers(1, len(one_word_texts)) | st.integers(1, len(texts) + 1), label="batch_size"
     )
@@ -113,11 +117,11 @@ def test_backward_on_trimmed_batch_matches_padded(texts, seed):
 
     emb_padded, cache_padded = forward(PARAMS_64, padded)
     emb_trimmed, cache_trimmed = forward(PARAMS_64, trimmed)
-    assert cache_padded.ids.shape[1] == MAX_LEN
-    assert cache_trimmed.ids.shape[1] == max(2, max(len(seq) for seq in trimmed))
+    assert cache_padded.ids.size == sum(len(seq) for seq in padded)
+    assert cache_trimmed.ids.size == max(2, sum(len(seq) for seq in trimmed))
     assert np.allclose(emb_padded.vectors[:-1], emb_trimmed.vectors, rtol=1e-12, atol=1e-15)
 
-    # The added sentence gets a zero weight row, so only the padding differs.
+    # The added sentence gets a zero weight row, so it adds only zero terms.
     padded_weights = np.vstack([weights, np.zeros((1, CONFIG.dim))])
     grads_padded = backward(PARAMS_64, cache_padded, padded_weights, PARAMS_64.zeros_like())
     grads_trimmed = backward(PARAMS_64, cache_trimmed, weights, PARAMS_64.zeros_like())
@@ -134,11 +138,11 @@ def test_train_stacks_each_batch_at_its_longest_real_length(sources, batch_size)
     corpus = ParallelCorpus(pairs=[(s, s) for s in sources])
     rows = np.random.default_rng(len(sources)).normal(size=(len(sources), CONFIG.dim))
     teacher = TeacherTable(embeddings=EmbeddingBatch(vectors=rows.astype(np.float32)))
-    stacked = []
+    packed = []
 
     def recording_forward(params, batch):
         emb, cache = forward(params, batch)
-        stacked.append((cache.ids.shape[1], max(2, max(len(seq) for seq in batch))))
+        packed.append((cache.ids.size, cache.mask.sum(), sum(len(seq) for seq in batch)))
         return emb, cache
 
     with mock.patch.object(trainer_module, "forward", recording_forward):
@@ -146,5 +150,7 @@ def test_train_stacks_each_batch_at_its_longest_real_length(sources, batch_size)
             corpus, teacher, VOCAB, CONFIG,
             TrainingConfig(loss="mse", epochs=1, batch_size=batch_size, max_len=MAX_LEN),
         )
-    assert len(stacked) == ckpt.training_meta["steps"] > 0
-    assert all(width == longest for width, longest in stacked)
+    assert len(packed) == ckpt.training_meta["steps"] > 0
+    for rows, real_rows, n_real in packed:
+        assert rows == max(n_real, min(2, MAX_LEN))
+        assert real_rows == n_real
