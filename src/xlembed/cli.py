@@ -30,7 +30,7 @@ from .losses import cosine
 from .teacher import TeacherTable, read_teacher_file, toy_teacher, write_teacher_file
 from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 from .trainer import Checkpoint, TrainingConfig, load_checkpoint, save_checkpoint, train
-from .tsne import Layout2D, TsneConfig, render_scatter, run_tsne
+from .tsne import Layout2D, TsneConfig, check_scatter_labels, render_scatter, run_tsne
 
 
 def _infer_format(path: str, explicit: str) -> str:
@@ -216,6 +216,7 @@ def _cmd_tsne(args: argparse.Namespace) -> int:
         early_exaggeration=args.early_exaggeration,
         seed=args.seed,
     )
+    check_scatter_labels(labeled.labels, labeled.label_names)
     points = run_tsne(table.embeddings.vectors, config)
     layout = Layout2D(points=points, labels=labeled.labels)
     render_scatter(layout, labeled.label_names, args.out)

@@ -43,6 +43,9 @@ _MAGIC = b"BEMB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sI")
 _HASH_BYTES = 32
+# adamw_step's slice length: short enough that a block stays in cache
+# through its 18 element-wise passes.
+_ADAMW_BLOCK = 65536
 
 
 @dataclass
@@ -105,6 +108,10 @@ class OptimizerState:
     @classmethod
     def zeros(cls, params: EncoderParams) -> "OptimizerState":
         n = params.n_params
+        # Full-length work rows, although adamw_step computes in one block
+        # of them at a time: freeing rows of one block's length after each
+        # train() lowered glibc's dynamic mmap threshold, and a following
+        # embed() ran ~14% slower on its freshly mapped activations.
         return cls(
             m=np.zeros(n, dtype=np.float64),
             v=np.zeros(n, dtype=np.float64),
@@ -155,10 +162,12 @@ def adamw_step(
     """One AdamW update with bias correction and decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * weight_decay) before the
-    moment-driven update is subtracted. All arithmetic happens in float64
-    over the whole flat buffer, in ``state``'s work rows; the result is cast
-    back into ``params.flat``. ``params`` and ``state`` are updated in
-    place. A non-finite gradient raises before anything is written.
+    moment-driven update is subtracted. All arithmetic happens in float64,
+    one block of the flat buffer at a time in ``state``'s work rows, so a
+    block's operations stay in cache; the result is cast back into
+    ``params.flat``. Every operation is element-wise, so the blocks give the
+    same bytes as whole-buffer passes. ``params`` and ``state`` are updated
+    in place. A non-finite gradient raises before anything is written.
     """
     if not np.isfinite(grads.flat).all():
         name = next(n for n, arr in grads.tensors() if not np.isfinite(arr).all())
@@ -167,30 +176,32 @@ def adamw_step(
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    m, v = state.m, state.v
-    a, b = state.work
-    a[...] = grads.flat  # g, widened to float64 exactly
-    # m = b1 * m + (1 - b1) * g
-    np.multiply(m, b1, out=m)
-    np.multiply(a, 1.0 - b1, out=b)
-    np.add(m, b, out=m)
-    # v = b2 * v + (1 - b2) * g**2
-    np.square(a, out=a)
-    np.multiply(a, 1.0 - b2, out=a)
-    np.multiply(v, b2, out=v)
-    np.add(v, a, out=v)
-    # step = lr * (m / bc1) / (sqrt(v / bc2) + eps)
-    np.divide(v, bc2, out=a)
-    np.sqrt(a, out=a)
-    np.add(a, config.eps, out=a)
-    np.divide(m, bc1, out=b)
-    np.multiply(b, lr, out=b)
-    np.divide(b, a, out=b)
-    # params = params * (1 - lr * weight_decay) - step
-    a[...] = params.flat
-    np.multiply(a, 1.0 - lr * config.weight_decay, out=a)
-    np.subtract(a, b, out=a)
-    params.flat[...] = a
+    for start in range(0, params.n_params, _ADAMW_BLOCK):
+        stop = min(start + _ADAMW_BLOCK, params.n_params)
+        m, v = state.m[start:stop], state.v[start:stop]
+        a, b = state.work[:, start:stop]
+        a[...] = grads.flat[start:stop]  # g, widened to float64 exactly
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(m, b1, out=m)
+        np.multiply(a, 1.0 - b1, out=b)
+        np.add(m, b, out=m)
+        # v = b2 * v + (1 - b2) * g**2
+        np.square(a, out=a)
+        np.multiply(a, 1.0 - b2, out=a)
+        np.multiply(v, b2, out=v)
+        np.add(v, a, out=v)
+        # step = lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, config.eps, out=a)
+        np.divide(m, bc1, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        # params = params * (1 - lr * weight_decay) - step
+        a[...] = params.flat[start:stop]
+        np.multiply(a, 1.0 - lr * config.weight_decay, out=a)
+        np.subtract(a, b, out=a)
+        params.flat[start:stop] = a
     state.step_count = t
 
 

@@ -2,9 +2,17 @@
 
 Pairwise affinities use a per-point Gaussian bandwidth found by binary
 search so every row of the conditional distribution hits the requested
-perplexity; the symmetrized joint matrix P then drives plain momentum
-gradient descent on KL(P || Q) against a Student-t Q, with early
-exaggeration for the first 250 iterations.
+perplexity; all rows search at once, each step one pass of NumPy calls
+over the rows still searching. The symmetrized joint matrix P then drives
+plain momentum gradient descent on KL(P || Q) against a Student-t Q, with
+early exaggeration for the first 250 iterations. The descent computes in
+two N x N buffers allocated once, so no iteration allocates an N x N
+array.
+
+Both rewrites keep every float of the one-row-at-a-time forms: the
+element-wise ufuncs and each row's pairwise sum give the same bits on a
+2-D array as on one row, and a row whose probabilities underflow to 0
+sums its entropy over its positive entries only, as a 1-D array.
 
 Internally points are processed in a canonical order (rows sorted
 lexicographically) and each point's initial coordinates are drawn from a
@@ -82,9 +90,18 @@ class Layout2D:
             raise ValidationError("labels must be non-negative integers")
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
+def _squared_distances(
+    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances between the rows of x, clipped at 0, zero on the
+    diagonal; computed in the N x N arrays out and work when given."""
     sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    twice_dot = np.matmul(x, x.T, out=work)
+    twice_dot *= 2.0
+    d2 = np.empty_like(twice_dot) if out is None else out
+    d2[...] = sq  # d2[i, j] = sq[j] + sq[i], the same float as sq[i] + sq[j]
+    d2 += sq[:, None]
+    d2 -= twice_dot
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -106,9 +123,12 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
 
     Each row's Gaussian bandwidth comes from a binary search that stops
     when the realized perplexity is within 1e-3 of the target in the log2
-    domain (or after 200 halvings). The conditional matrix is symmetrized
-    as (P + P^T) / (2N), so the result is symmetric, non-negative, zero on
-    the diagonal, and sums to one.
+    domain (or after 200 halvings). All rows search at once: each step
+    computes the still-searching rows as one matrix, and a row whose
+    entropy is within tolerance leaves. A row with an entry that underflows
+    to 0 sums its entropy over its positive entries only. The conditional
+    matrix is symmetrized as (P + P^T) / (2N), so the result is symmetric,
+    non-negative, zero on the diagonal, and sums to one.
     """
     x = _check_input(x)
     n = x.shape[0]
@@ -118,32 +138,54 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
             f"(must be in (1, {n - 1}])"
         )
     target_bits = math.log2(perplexity)
-    d2 = _squared_distances(x)
-    conditional = np.zeros((n, n), dtype=np.float64)
     others = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        row_d2 = d2[i][others[i]]
-        shifted = row_d2 - row_d2.min()
-        beta, lo, hi = 1.0, 0.0, math.inf
-        for _ in range(_MAX_SEARCH_STEPS):
-            w = np.exp(-shifted * beta)
-            p = w / w.sum()
-            nonzero = p[p > 0.0]
-            entropy_bits = float(-(nonzero * np.log2(nonzero)).sum())
-            if abs(entropy_bits - target_bits) <= _PERPLEXITY_TOL_BITS:
-                break
-            if entropy_bits > target_bits:
-                lo = beta
-                beta = beta * 2.0 if hi == math.inf else (lo + hi) / 2.0
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
-        conditional[i][others[i]] = p
-    return (conditional + conditional.T) / (2.0 * n)
+    neg = _squared_distances(x)[others].reshape(n, n - 1)
+    np.subtract(neg.min(axis=1, keepdims=True), neg, out=neg)  # -(d2 - row min), bit for bit
+    rows = np.arange(n)  # the rows still searching
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, math.inf)
+    conditional = np.zeros((n, n - 1), dtype=np.float64)
+    for _ in range(_MAX_SEARCH_STEPS):
+        p = np.exp(neg * beta[:, None])
+        p /= p.sum(axis=1, keepdims=True)
+        positive = p > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log2(p)
+            terms *= p
+        entropy_bits = -terms.sum(axis=1)
+        # A row with k positive entries sums exactly those k, as a 1-D sum
+        # of length k would; rows of equal k stack into one (rows, k) sum.
+        kept = positive.sum(axis=1)
+        for k in np.unique(kept[kept < n - 1]):
+            same = np.flatnonzero(kept == k)
+            entropy_bits[same] = -terms[same][positive[same]].reshape(same.size, k).sum(axis=1)
+        done = np.abs(entropy_bits - target_bits) <= _PERPLEXITY_TOL_BITS
+        conditional[rows[done]] = p[done]
+        searching = ~done
+        rows, neg, p = rows[searching], neg[searching], p[searching]
+        beta, lo, hi = beta[searching], lo[searching], hi[searching]
+        if rows.size == 0:
+            break
+        up = entropy_bits[searching] > target_bits
+        lo = np.where(up, beta, lo)
+        hi = np.where(up, hi, beta)
+        mid = (lo + hi) / 2.0
+        beta = np.where(
+            up,
+            np.where(hi == math.inf, beta * 2.0, mid),
+            np.where(lo == 0.0, beta / 2.0, mid),
+        )
+    conditional[rows] = p  # rows that never converged keep their last p
+    joint = np.zeros((n, n), dtype=np.float64)
+    joint[others] = conditional.reshape(-1)
+    return (joint + joint.T) / (2.0 * n)
 
 
-def _student_t_weights(layout: np.ndarray) -> np.ndarray:
-    w = 1.0 / (1.0 + _squared_distances(layout))
+def _student_t_weights(
+    layout: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    w = _squared_distances(layout, out, work)
+    w += 1.0
+    np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -186,6 +228,7 @@ def run_tsne(
     for i in range(n):
         ys[i] = np.random.default_rng((config.seed, i)).normal(0.0, 1e-4, size=2)
     velocity = np.zeros_like(ys)
+    p_exaggerated = p * config.early_exaggeration
 
     def emit(iteration: int) -> None:
         if on_iteration is not None:
@@ -193,14 +236,18 @@ def run_tsne(
             unsorted[order] = ys
             on_iteration(iteration, unsorted)
 
+    # Every iteration's N x N work happens in these two buffers.
+    w = np.empty((n, n), dtype=np.float64)
+    m = np.empty((n, n), dtype=np.float64)
     for iteration in range(config.iterations):
         exaggerating = iteration < _EXAGGERATION_STEPS
-        p_used = p * config.early_exaggeration if exaggerating else p
+        p_used = p_exaggerated if exaggerating else p
         momentum = 0.5 if exaggerating else 0.8
 
-        w = _student_t_weights(ys)
-        q = w / w.sum()
-        m = (p_used - q) * w
+        _student_t_weights(ys, out=w, work=m)
+        np.divide(w, w.sum(), out=m)  # q
+        np.subtract(p_used, m, out=m)
+        m *= w
         grad = 4.0 * (m.sum(axis=1)[:, None] * ys - m @ ys)
         if not np.isfinite(grad).all():
             raise ValidationError(
@@ -224,8 +271,9 @@ def _scale_to_box(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (values - vmin) / span * (hi - lo)
 
 
-def render_scatter(layout: Layout2D, label_names: list[str], path: str | Path) -> None:
-    """Write the layout as a standalone SVG scatter plot with a legend."""
+def check_scatter_labels(labels: list[int], label_names: list[str]) -> None:
+    """Raise ValidationError unless the classes fit the palette and every
+    label id has a name; cheap enough to run before t-SNE itself."""
     n_classes = len(label_names)
     if n_classes < 1:
         raise ValidationError("label_names must not be empty")
@@ -233,11 +281,16 @@ def render_scatter(layout: Layout2D, label_names: list[str], path: str | Path) -
         raise ValidationError(
             f"{n_classes} classes exceed the {len(PALETTE)}-color palette"
         )
-    bad = [l for l in layout.labels if l >= n_classes]
+    bad = [l for l in labels if l >= n_classes]
     if bad:
         raise ValidationError(
             f"label id {bad[0]} has no name (only {n_classes} names given)"
         )
+
+
+def render_scatter(layout: Layout2D, label_names: list[str], path: str | Path) -> None:
+    """Write the layout as a standalone SVG scatter plot with a legend."""
+    check_scatter_labels(layout.labels, label_names)
 
     width, height, margin, legend_w = 760, 600, 40.0, 170
     plot_right = width - legend_w - margin

@@ -2,7 +2,8 @@
 
 ``reference_step`` is the textbook form, one fresh float64 array per
 operation; ``adamw_step`` computes the same per-element operations in the
-optimizer's work rows and writes into the parameter buffer.
+optimizer's work rows, one 65,536-element block at a time, and writes into
+the parameter buffer.
 """
 
 from __future__ import annotations
@@ -91,3 +92,24 @@ def test_matches_whole_buffer_reference(
     assert state.m.tobytes() == ref_m.tobytes()
     assert state.v.tobytes() == ref_v.tobytes()
     assert state.step_count == steps
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tail_block_matches_reference(dtype):
+    # Two full 65,536-element blocks and a 17-element tail.
+    enc = EncoderConfig(vocab_size=131061, dim=1, n_layers=1, n_heads=1, max_len=1)
+    assert enc.n_params == 2 * 65536 + 17
+    rng = np.random.default_rng(7)
+    params = EncoderParams(enc, random_buffer(rng, enc.n_params, dtype))
+    grads = params.zeros_like()
+    state = OptimizerState.zeros(params)
+    config = TrainingConfig(weight_decay=0.01)
+    ref_p, ref_m, ref_v = params.flat.copy(), state.m.copy(), state.v.copy()
+
+    for k in range(3):
+        grads.flat[...] = random_buffer(rng, enc.n_params, dtype)
+        ref_p, ref_m, ref_v = reference_step(ref_p, grads.flat, ref_m, ref_v, k, 1e-3, config)
+        adamw_step(params, grads, state, 1e-3, config)
+        assert params.flat.tobytes() == ref_p.tobytes()
+        assert state.m.tobytes() == ref_m.tobytes()
+        assert state.v.tobytes() == ref_v.tobytes()

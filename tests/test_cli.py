@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 import xlembed
-from xlembed import embed, load_checkpoint, load_vocab, read_teacher_file
+from xlembed import (
+    EmbeddingBatch,
+    TeacherTable,
+    embed,
+    load_checkpoint,
+    load_vocab,
+    read_teacher_file,
+    write_teacher_file,
+)
 from xlembed.cli import dispatch
 
 SOURCES = [
@@ -202,6 +210,26 @@ class TestTsneCommand:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_too_many_classes_fail_before_tsne(self, tmp_path, monkeypatch, capsys):
+        emb = tmp_path / "emb.xlte"
+        vectors = np.random.default_rng(0).normal(size=(13, 4))
+        write_teacher_file(TeacherTable(embeddings=EmbeddingBatch(vectors)), emb)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"text {i}\tclass{i}\n" for i in range(13)), encoding="utf-8")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("run_tsne ran before the labels were checked")
+
+        monkeypatch.setattr("xlembed.cli.run_tsne", fail)
+        out = tmp_path / "plot.svg"
+        code = dispatch([
+            "tsne", "--embeddings", str(emb), "--labels", str(labels), "--out", str(out),
+            "--perplexity", "2.5",
+        ])
+        assert code == 2
+        assert "13 classes exceed the 12-color palette" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
