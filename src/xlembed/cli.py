@@ -5,32 +5,44 @@ errors. Commands that read a parallel corpus (build-vocab, toy-teacher,
 train) all apply the same cleaning pass first, so row alignment between
 the corpus and a teacher table built from it is stable. Evaluation
 commands read their datasets verbatim because labels align by line.
+
+A flag left out takes the default of what it feeds: ``TrainingConfig``,
+``TsneConfig``, ``EncoderConfig``, ``build_vocab``, ``preprocess`` or
+``paraphrase_accuracy``. The CLI sets only the model sizes of toy-teacher
+and train (whose ``--dim`` falls back to the teacher's) and its own flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 from .corpus import (
     ParallelCorpus, load_labeled, load_parallel, load_scored_pairs, preprocess, read_lines
 )
-from .encoder import EncoderConfig, embed
+from .encoder import EmbeddingBatch, EncoderConfig, embed
 from .errors import ToolkitError, ValidationError
 from .evaluation import (
-    EvalReport,
-    mean_cosine_similarity,
-    paraphrase_accuracy,
-    pearson,
-    spearman,
-    time_inference,
+    EvalReport, mean_cosine_similarity, paraphrase_accuracy, pearson, spearman, time_inference
 )
 from .losses import cosine
 from .teacher import TeacherTable, read_teacher_file, toy_teacher, write_teacher_file
 from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 from .trainer import Checkpoint, TrainingConfig, load_checkpoint, save_checkpoint, train
 from .tsne import Layout2D, TsneConfig, check_scatter_labels, render_scatter, run_tsne
+
+# EncoderConfig field -> flag, for the commands that build an encoder.
+ENCODER_FLAGS = {"dim": "--dim", "n_layers": "--layers", "n_heads": "--heads",
+                 "ffn_mult": "--ffn-mult", "max_len": "--max-len", "seed": "--seed"}
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags present in args: given, or defaulted by the CLI."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _infer_format(path: str, explicit: str) -> str:
@@ -41,7 +53,7 @@ def _infer_format(path: str, explicit: str) -> str:
 
 def _load_clean_corpus(args: argparse.Namespace) -> ParallelCorpus:
     corpus = load_parallel(args.corpus, _infer_format(args.corpus, args.format))
-    corpus = preprocess(corpus, min_chars=args.min_chars, max_chars=args.max_chars)
+    corpus = preprocess(corpus, **_given(args, "min_chars", "max_chars"))
     if len(corpus.pairs) == 0:
         raise ValidationError(f"{args.corpus}: no usable pairs after cleaning")
     return corpus
@@ -79,26 +91,18 @@ def _read_binary_labels(path: str, expected: int) -> list[int]:
 
 def _cmd_build_vocab(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(args)
-    vocab = build_vocab(corpus, side=args.side, max_size=args.max_size, min_freq=args.min_freq)
+    options = _given(args, "side", "max_size", "min_freq")
+    vocab = build_vocab(corpus, **options)
     save_vocab(vocab, args.out)
-    print(f"wrote {vocab.size}-entry vocabulary ({args.side} side) to {args.out}")
+    side = options.get("side", inspect.signature(build_vocab).parameters["side"].default)
+    print(f"wrote {vocab.size}-entry vocabulary ({side} side) to {args.out}")
     return 0
 
 
 def _cmd_toy_teacher(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(args)
-    vocab = build_vocab(
-        corpus, side="target", max_size=args.vocab_max_size, min_freq=args.vocab_min_freq
-    )
-    config = EncoderConfig(
-        vocab_size=vocab.size,
-        dim=args.dim,
-        n_layers=args.layers,
-        n_heads=args.heads,
-        ffn_mult=args.ffn_mult,
-        max_len=args.max_len,
-        seed=args.seed,
-    )
+    vocab = build_vocab(corpus, side="target", **_given(args, "max_size", "min_freq"))
+    config = EncoderConfig(vocab_size=vocab.size, **_given(args, *ENCODER_FLAGS))
     table = toy_teacher(config, vocab, corpus)
     write_teacher_file(table, args.out)
     print(f"wrote {table.count} x {table.dim} teacher table to {args.out}")
@@ -109,31 +113,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(args)
     teacher = read_teacher_file(args.teacher)
     vocab = load_vocab(args.vocab)
-    enc_config = EncoderConfig(
-        vocab_size=vocab.size,
-        dim=args.dim if args.dim is not None else teacher.dim,
-        n_layers=args.layers,
-        n_heads=args.heads,
-        ffn_mult=args.ffn_mult,
-        max_len=args.max_len,
-        seed=args.seed,
-    )
-    train_config = TrainingConfig(
-        loss=args.loss,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        base_lr=args.lr,
-        warmup_ratio=args.warmup_ratio,
-        weight_decay=args.weight_decay,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        eps=args.eps,
-        scale=args.scale,
-        max_len=args.max_len,
-        seed=args.seed,
-        shuffle=args.shuffle,
-        log_path=args.log,
-    )
+    sizes = {"dim": teacher.dim, **_given(args, *ENCODER_FLAGS)}
+    enc_config = EncoderConfig(vocab_size=vocab.size, **sizes)
+    train_config = TrainingConfig(**_given(args, *(f.name for f in fields(TrainingConfig))))
     ckpt = train(corpus, teacher, vocab, enc_config, train_config)
     save_checkpoint(ckpt, args.out)
     meta = ckpt.training_meta
@@ -153,52 +135,47 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval_paraphrase(args: argparse.Namespace) -> int:
-    ckpt, vocab = _load_model(args)
-    pairs = load_parallel(args.pairs, _infer_format(args.pairs, args.format))
-    if len(pairs.pairs) == 0:
-        raise ValidationError(f"{args.pairs}: no pairs to evaluate")
-    labels = (
-        _read_binary_labels(args.labels, len(pairs.pairs))
-        if args.labels
-        else [1] * len(pairs.pairs)
-    )
+def _evaluate(args: argparse.Namespace, model: tuple[Checkpoint, Vocab], task: str,
+              pairs: list[tuple[str, str]], metrics: Callable[..., dict[str, float]]) -> int:
+    """Embed both sides (timing side A), score them, print and write the report."""
+    ckpt, vocab = model
     max_len = ckpt.config.max_len
-    emb_a, seconds = time_inference(ckpt.params, vocab, pairs.sources(), max_len)
-    emb_b = embed(ckpt.params, vocab, pairs.targets(), max_len)
-    report = EvalReport(
-        task="paraphrase",
-        mcs=mean_cosine_similarity(emb_a, emb_b),
-        accuracy=paraphrase_accuracy(emb_a, emb_b, labels, threshold=args.threshold),
-        inference_seconds=seconds,
-        n_items=len(pairs.pairs),
-    )
+    emb_a, seconds = time_inference(ckpt.params, vocab, [a for a, _ in pairs], max_len)
+    emb_b = embed(ckpt.params, vocab, [b for _, b in pairs], max_len)
+    report = EvalReport(task=task, inference_seconds=seconds, n_items=len(pairs),
+                        **metrics(emb_a, emb_b))
     print(report.to_json())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
     return 0
+
+
+def _cmd_eval_paraphrase(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    pairs = load_parallel(args.pairs, _infer_format(args.pairs, args.format)).pairs
+    if len(pairs) == 0:
+        raise ValidationError(f"{args.pairs}: no pairs to evaluate")
+    labels = _read_binary_labels(args.labels, len(pairs)) if args.labels else [1] * len(pairs)
+    return _evaluate(args, model, "paraphrase", pairs, lambda a, b: {
+        "mcs": mean_cosine_similarity(a, b),
+        "accuracy": paraphrase_accuracy(a, b, labels, **_given(args, "threshold")),
+    })
 
 
 def _cmd_eval_sts(args: argparse.Namespace) -> int:
-    ckpt, vocab = _load_model(args)
+    model = _load_model(args)
     scored = load_scored_pairs(args.pairs)
     if len(scored.pairs) == 0:
         raise ValidationError(f"{args.pairs}: no pairs to evaluate")
-    max_len = ckpt.config.max_len
-    emb_a, seconds = time_inference(ckpt.params, vocab, [a for a, _ in scored.pairs], max_len)
-    emb_b = embed(ckpt.params, vocab, [b for _, b in scored.pairs], max_len)
-    cosines = [cosine(u, v) for u, v in zip(emb_a.vectors, emb_b.vectors)]
-    report = EvalReport(
-        task="sts",
-        pearson_r=pearson(cosines, scored.scores),
-        spearman_rho=spearman(cosines, scored.scores),
-        inference_seconds=seconds,
-        n_items=len(scored.pairs),
-    )
-    print(report.to_json())
-    if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
-    return 0
+
+    def correlations(a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
+        cosines = [cosine(u, v) for u, v in zip(a.vectors, b.vectors)]
+        return {
+            "pearson_r": pearson(cosines, scored.scores),
+            "spearman_rho": spearman(cosines, scored.scores),
+        }
+
+    return _evaluate(args, model, "sts", scored.pairs, correlations)
 
 
 def _cmd_tsne(args: argparse.Namespace) -> int:
@@ -209,13 +186,7 @@ def _cmd_tsne(args: argparse.Namespace) -> int:
             f"{args.labels} has {len(labeled.texts)} rows but {args.embeddings} "
             f"holds {table.count} embeddings"
         )
-    config = TsneConfig(
-        perplexity=args.perplexity,
-        iterations=args.iterations,
-        learning_rate=args.learning_rate,
-        early_exaggeration=args.early_exaggeration,
-        seed=args.seed,
-    )
+    config = TsneConfig(**_given(args, *(f.name for f in fields(TsneConfig))))
     check_scatter_labels(labeled.labels, labeled.label_names)
     points = run_tsne(table.embeddings.vectors, config)
     layout = Layout2D(points=points, labels=labeled.labels)
@@ -228,10 +199,20 @@ def _add_corpus_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="parallel corpus (TSV or JSONL)")
     p.add_argument("--format", choices=("auto", "tsv", "jsonl"), default="auto",
                    help="corpus format; auto picks JSONL for .jsonl paths")
-    p.add_argument("--min-chars", type=int, default=1,
+    p.add_argument("--min-chars", type=int,
                    help="drop pairs with a side shorter than this many characters")
-    p.add_argument("--max-chars", type=int, default=512,
+    p.add_argument("--max-chars", type=int,
                    help="drop pairs with a side longer than this many characters")
+
+
+def _add_encoder_options(
+    p: argparse.ArgumentParser, dim_help: str | None = None, **defaults: int
+) -> None:
+    """The six EncoderConfig flags; defaults holds this command's own."""
+    for dest, flag in ENCODER_FLAGS.items():
+        p.add_argument(flag, type=int, dest=dest, metavar=flag[2:].upper().replace("-", "_"),
+                       default=defaults.get(dest, argparse.SUPPRESS),
+                       help=dim_help if dest == "dim" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,96 +223,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-vocab",
-                       help="build a word vocabulary from one side of a parallel corpus")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # A flag left out stays absent from args, so the library default applies.
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
+    p = command("build-vocab", "build a word vocabulary from one side of a parallel corpus")
     _add_corpus_options(p)
     p.add_argument("--out", required=True, help="vocabulary file to write")
-    p.add_argument("--side", choices=("source", "target"), default="source")
-    p.add_argument("--max-size", type=int, default=8000)
-    p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--side", choices=("source", "target"))
+    p.add_argument("--max-size", type=int)
+    p.add_argument("--min-freq", type=int)
     p.set_defaults(handler=_cmd_build_vocab)
 
-    p = sub.add_parser("toy-teacher",
-                       help="embed the target side with a frozen random encoder "
-                            "(stand-in teacher for closed-loop runs)")
+    p = command("toy-teacher", "embed the target side with a frozen random encoder "
+                               "(stand-in teacher for closed-loop runs)")
     _add_corpus_options(p)
     p.add_argument("--out", required=True, help="teacher table file to write")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn-mult", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-max-size", type=int, default=8000)
-    p.add_argument("--vocab-min-freq", type=int, default=1)
+    _add_encoder_options(p, dim=32, n_layers=1, n_heads=4, ffn_mult=2)
+    p.add_argument("--vocab-max-size", type=int, dest="max_size", metavar="VOCAB_MAX_SIZE")
+    p.add_argument("--vocab-min-freq", type=int, dest="min_freq", metavar="VOCAB_MIN_FREQ")
     p.set_defaults(handler=_cmd_toy_teacher)
 
-    p = sub.add_parser("train",
-                       help="distill a teacher table into a fresh student encoder")
+    p = command("train", "distill a teacher table into a fresh student encoder")
     _add_corpus_options(p)
     p.add_argument("--teacher", required=True, help="teacher table file")
     p.add_argument("--vocab", required=True, help="source-side vocabulary file")
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--loss", choices=("mse", "mnr"), required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--warmup-ratio", type=float, default=0.1)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--scale", type=float, default=20.0,
-                   help="logit multiplier for the ranking loss")
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--log", default=None, help="per-step training log (TSV)")
-    p.add_argument("--dim", type=int, default=None,
-                   help="student dimension (default: match the teacher)")
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn-mult", type=int, default=4)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float, dest="base_lr", metavar="LR")
+    p.add_argument("--warmup-ratio", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--beta1", type=float)
+    p.add_argument("--beta2", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--scale", type=float, help="logit multiplier for the ranking loss")
+    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction)
+    p.add_argument("--log", dest="log_path", metavar="LOG", help="per-step training log (TSV)")
+    _add_encoder_options(p, dim_help="student dimension (default: match the teacher)",
+                         n_layers=2, n_heads=4)
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("embed",
-                       help="embed one sentence per line into a teacher-format file")
+    p = command("embed", "embed one sentence per line into a teacher-format file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--texts", required=True, help="UTF-8 text file, one sentence per line")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_embed)
 
-    p = sub.add_parser("eval-paraphrase",
-                       help="mean cosine similarity and thresholded paraphrase accuracy")
+    p = command("eval-paraphrase", "mean cosine similarity and thresholded paraphrase accuracy")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--pairs", required=True, help="sentence pairs (TSV or JSONL)")
     p.add_argument("--format", choices=("auto", "tsv", "jsonl"), default="auto")
     p.add_argument("--labels", default=None,
                    help="optional file of 0/1 labels, one per pair (default: all 1)")
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float)
     p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(handler=_cmd_eval_paraphrase)
 
-    p = sub.add_parser("eval-sts",
-                       help="Pearson and Spearman correlation against 0..5 scores")
+    p = command("eval-sts", "Pearson and Spearman correlation against 0..5 scores")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--pairs", required=True, help="three-column TSV: text_a, text_b, score")
     p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(handler=_cmd_eval_sts)
 
-    p = sub.add_parser("tsne",
-                       help="project an embedding file to 2-D and render an SVG")
+    p = command("tsne", "project an embedding file to 2-D and render an SVG")
     p.add_argument("--embeddings", required=True, help="teacher-format embedding file")
     p.add_argument("--labels", required=True, help="labeled TSV: text, label_name")
     p.add_argument("--out", required=True, help="SVG file to write")
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--learning-rate", type=float, default=200.0)
-    p.add_argument("--early-exaggeration", type=float, default=12.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--perplexity", type=float)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--early-exaggeration", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_tsne)
 
     return parser

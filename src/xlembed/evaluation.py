@@ -7,6 +7,7 @@ All statistics are computed in double precision. Spearman uses fractional
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -68,8 +69,10 @@ def paraphrase_accuracy(
     """Fraction of pairs whose thresholded cosine matches the 0/1 label.
 
     A pair is predicted positive exactly when cosine >= threshold; the
-    boundary itself counts as positive.
+    boundary itself counts as positive. The threshold must be finite.
     """
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold!r}")
     if len(labels) != a.count:
         raise ValidationError(f"{len(labels)} labels for {a.count} pairs")
     if any(l not in (0, 1) for l in labels):

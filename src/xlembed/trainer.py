@@ -70,6 +70,14 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.loss not in ("mse", "mnr"):
             raise ValidationError(f"loss must be 'mse' or 'mnr', got {self.loss!r}")
+        for name in ("epochs", "batch_size", "max_len", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("base_lr", "warmup_ratio", "weight_decay", "beta1", "beta2", "eps", "scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -314,6 +322,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     if len(ckpt.vocab_hash) != _HASH_BYTES:
         raise ValidationError(
             f"vocab hash must be {_HASH_BYTES} bytes, got {len(ckpt.vocab_hash)}"
+        )
+    # Configs with equal parameter counts (say, 2 and 4 heads) would load
+    # the weights silently under the wrong architecture.
+    if ckpt.config != ckpt.params.config:
+        raise ValidationError(
+            f"checkpoint config {ckpt.config} differs from its weights' {ckpt.params.config}"
         )
     meta_json = json.dumps(
         {"config": asdict(ckpt.config), "training_meta": ckpt.training_meta},

@@ -3,11 +3,11 @@
 Pairwise affinities use a per-point Gaussian bandwidth found by binary
 search so every row of the conditional distribution hits the requested
 perplexity; all rows search at once, each step one pass of NumPy calls
-over the rows still searching. The symmetrized joint matrix P then drives
-plain momentum gradient descent on KL(P || Q) against a Student-t Q, with
-early exaggeration for the first 250 iterations. The descent computes in
-two N x N buffers allocated once, so no iteration allocates an N x N
-array.
+over the rows still searching, in two (N, N-1) buffers allocated once.
+The symmetrized joint matrix P then drives plain momentum gradient descent
+on KL(P || Q) against a Student-t Q, with early exaggeration for the first
+250 iterations. The descent computes in two N x N buffers allocated
+once, so no iteration allocates an N x N array.
 
 Both rewrites keep every float of the one-row-at-a-time forms: the
 element-wise ufuncs and each row's pairwise sum give the same bits on a
@@ -55,6 +55,14 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("perplexity", "learning_rate", "early_exaggeration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if not self.perplexity > 1.0:
             raise ValidationError(f"perplexity must be > 1, got {self.perplexity}")
         if self.iterations < 1:
@@ -137,19 +145,37 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
             f"perplexity {perplexity} is infeasible for {n} points "
             f"(must be in (1, {n - 1}])"
         )
-    target_bits = math.log2(perplexity)
-    others = ~np.eye(n, dtype=bool)
-    neg = _squared_distances(x)[others].reshape(n, n - 1)
+    conditional = _conditional_probabilities(x, math.log2(perplexity))
+    joint = np.zeros((n, n), dtype=np.float64)
+    joint[~np.eye(n, dtype=bool)] = conditional.reshape(-1)
+    return (joint + joint.T) / (2.0 * n)
+
+
+def _conditional_probabilities(x: np.ndarray, target_bits: float) -> np.ndarray:
+    """The (N, N-1) matrix of p(j | i) over j != i, from the bandwidth search.
+
+    Its own function, so its N x (N-1) work arrays are freed before
+    joint_probabilities allocates the N x N ones.
+    """
+    n = x.shape[0]
+    neg = _squared_distances(x)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     np.subtract(neg.min(axis=1, keepdims=True), neg, out=neg)  # -(d2 - row min), bit for bit
     rows = np.arange(n)  # the rows still searching
     beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, math.inf)
-    conditional = np.zeros((n, n - 1), dtype=np.float64)
+    conditional = np.empty((n, n - 1), dtype=np.float64)
+    # Each step computes the searching rows in the leading rows of these two
+    # buffers. take's "clip" mode writes straight into out ("raise" would
+    # buffer a copy); the indices are in range either way.
+    p_buf, terms_buf = np.empty((n, n - 1)), np.empty((n, n - 1))
     for _ in range(_MAX_SEARCH_STEPS):
-        p = np.exp(neg * beta[:, None])
+        p = np.take(neg, rows, axis=0, out=p_buf[: rows.size], mode="clip")
+        p *= beta[:, None]
+        np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
+        conditional[rows] = p  # a row that never converges keeps its last p
         positive = p > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log2(p)
+            terms = np.log2(p, out=terms_buf[: rows.size])
             terms *= p
         entropy_bits = -terms.sum(axis=1)
         # A row with k positive entries sums exactly those k, as a 1-D sum
@@ -158,11 +184,8 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
         for k in np.unique(kept[kept < n - 1]):
             same = np.flatnonzero(kept == k)
             entropy_bits[same] = -terms[same][positive[same]].reshape(same.size, k).sum(axis=1)
-        done = np.abs(entropy_bits - target_bits) <= _PERPLEXITY_TOL_BITS
-        conditional[rows[done]] = p[done]
-        searching = ~done
-        rows, neg, p = rows[searching], neg[searching], p[searching]
-        beta, lo, hi = beta[searching], lo[searching], hi[searching]
+        searching = ~(np.abs(entropy_bits - target_bits) <= _PERPLEXITY_TOL_BITS)
+        rows, beta, lo, hi = rows[searching], beta[searching], lo[searching], hi[searching]
         if rows.size == 0:
             break
         up = entropy_bits[searching] > target_bits
@@ -174,10 +197,7 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
             np.where(hi == math.inf, beta * 2.0, mid),
             np.where(lo == 0.0, beta / 2.0, mid),
         )
-    conditional[rows] = p  # rows that never converged keep their last p
-    joint = np.zeros((n, n), dtype=np.float64)
-    joint[others] = conditional.reshape(-1)
-    return (joint + joint.T) / (2.0 * n)
+    return conditional
 
 
 def _student_t_weights(

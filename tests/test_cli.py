@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,11 @@ import pytest
 import xlembed
 from xlembed import (
     EmbeddingBatch,
+    EncoderConfig,
     TeacherTable,
+    ToolkitError,
+    TrainingConfig,
+    TsneConfig,
     embed,
     load_checkpoint,
     load_vocab,
@@ -230,6 +235,64 @@ class TestTsneCommand:
         assert code == 2
         assert "13 classes exceed the 12-color palette" in capsys.readouterr().err
         assert not out.exists()
+
+
+class Captured(ToolkitError):
+    """Raised by a patched library call once it has recorded its arguments."""
+
+
+def _io(workdir, tmp_path) -> dict[str, str]:
+    labels = tmp_path / "labels.tsv"
+    labels.write_text(
+        "".join(f"{src}\tclass{i % 2}\n" for i, src in enumerate(SOURCES)), encoding="utf-8"
+    )
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("the cat sat on the mat\ta dog ran in the park\n", encoding="utf-8")
+    return {**{k: str(v) for k, v in workdir.items()}, "labels": str(labels),
+            "pairs": str(pairs), "out": str(tmp_path / "out"), "log_path": str(tmp_path / "log")}
+
+
+TRAIN = ["train", "--corpus", "{corpus}", "--teacher", "{teacher}", "--vocab", "{vocab}",
+         "--out", "{out}", "--loss", "mse"]
+TOY_TEACHER = ["toy-teacher", "--corpus", "{corpus}", "--out", "{out}"]
+EVAL_PARAPHRASE = ["eval-paraphrase", "--ckpt", "{ckpt}", "--vocab", "{vocab}", "--pairs", "{pairs}"]
+
+
+@pytest.mark.parametrize("argv, patched, pick, expected", [
+    # Flags left out: each call receives exactly the library's defaults.
+    (TRAIN, "train", lambda a, kw: a[4], TrainingConfig(loss="mse")),
+    (TRAIN, "train", lambda a, kw: dataclasses.replace(a[3], vocab_size=3),
+     EncoderConfig(vocab_size=3, dim=16, n_layers=2, n_heads=4)),
+    (["tsne", "--embeddings", "{emb}", "--labels", "{labels}", "--out", "{out}"],
+     "run_tsne", lambda a, kw: a[1], TsneConfig()),
+    (["build-vocab", "--corpus", "{corpus}", "--out", "{out}"], "build_vocab",
+     lambda a, kw: kw, {}),
+    (["build-vocab", "--corpus", "{corpus}", "--out", "{out}"], "preprocess",
+     lambda a, kw: kw, {}),
+    (TOY_TEACHER, "build_vocab", lambda a, kw: kw, {"side": "target"}),
+    (EVAL_PARAPHRASE, "paraphrase_accuracy", lambda a, kw: kw, {}),
+    # Flags whose name differs from the field they set.
+    (TRAIN + ["--lr", "0.25", "--log", "{log_path}"], "train",
+     lambda a, kw: (a[4].base_lr, Path(a[4].log_path).name), (0.25, "log")),
+    (TRAIN + ["--layers", "1", "--heads", "2"], "train",
+     lambda a, kw: (a[3].n_layers, a[3].n_heads), (1, 2)),
+    (TOY_TEACHER + ["--vocab-max-size", "7", "--vocab-min-freq", "2"], "build_vocab",
+     lambda a, kw: kw, {"side": "target", "max_size": 7, "min_freq": 2}),
+    (EVAL_PARAPHRASE + ["--threshold", "0.5"], "paraphrase_accuracy",
+     lambda a, kw: kw, {"threshold": 0.5}),
+])
+def test_flags_reach_the_library(workdir, tmp_path, monkeypatch, argv, patched, pick, expected):
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Captured("captured")
+
+    monkeypatch.setattr(f"xlembed.cli.{patched}", capture)
+    paths = _io(workdir, tmp_path)
+    assert dispatch([arg.format(**paths) for arg in argv]) == 2
+    assert len(calls) == 1
+    assert pick(*calls[0]) == expected
 
 
 class TestExitCodes:

@@ -73,6 +73,8 @@ class TestParaphraseAccuracy:
             paraphrase_accuracy(a, a, [2])
         with pytest.raises(ValidationError, match="labels"):
             paraphrase_accuracy(a, a, [1, 0])
+        with pytest.raises(ValidationError, match="threshold"):
+            paraphrase_accuracy(a, a, [1], threshold=float("nan"))
 
 
 class TestPearson:

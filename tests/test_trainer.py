@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import struct
 from unittest import mock
 
@@ -165,6 +166,12 @@ class TestTrainingConfig:
             dict(scale=-1.0),
             dict(max_len=0),
             dict(seed=-1),
+            dict(base_lr=math.nan),
+            dict(base_lr=math.inf),
+            dict(eps=math.nan),
+            dict(scale=math.nan),
+            dict(weight_decay=math.nan),
+            dict(epochs=1.5),
         ]
         for kwargs in bad:
             with pytest.raises(ValidationError):
@@ -384,3 +391,16 @@ class TestCheckpointFile:
         bad = dataclasses.replace(trained, vocab_hash=b"short")
         with pytest.raises(ValidationError, match="hash"):
             save_checkpoint(bad, tmp_path / "x.bemb")
+
+    def test_save_rejects_config_of_other_weights(self, trained, tmp_path):
+        import dataclasses
+
+        # 2-head weights under a 4-head config: the same parameter count, so
+        # the file would load silently as the wrong model.
+        other = dataclasses.replace(trained.config, n_heads=4)
+        assert other.n_params == trained.config.n_params
+        bad = dataclasses.replace(trained, config=other)
+        path = tmp_path / "x.bemb"
+        with pytest.raises(ValidationError, match="differs"):
+            save_checkpoint(bad, path)
+        assert not path.exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -41,6 +42,9 @@ class TestConfig:
             dict(learning_rate=0.0),
             dict(early_exaggeration=0.5),
             dict(seed=-1),
+            dict(learning_rate=math.nan),
+            dict(early_exaggeration=math.nan),
+            dict(iterations=2.5),
         ]
         for kwargs in bad:
             with pytest.raises(ValidationError):
@@ -106,6 +110,20 @@ class TestJointProbabilities:
         theirs = reference_joint(x, perplexity=5.0)
         assert np.abs(ours - theirs).max() <= 5e-3
         assert np.abs(ours - theirs).max() / ours.max() <= 0.05
+
+    def test_peak_memory_stays_under_five_and_a_half_matrices(self):
+        # The search computes in two reused (N, N-1) buffers beside the
+        # shifted distances and the result: about 4.3 such matrices at peak,
+        # against 6.3 when each step allocated its products afresh.
+        n = 400
+        x = np.random.default_rng(0).normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            joint_probabilities(x, perplexity=30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * n * (n - 1) * 8
 
     def test_infeasible_perplexity(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
