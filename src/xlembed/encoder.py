@@ -36,6 +36,9 @@ _LN_EPS = 1e-5
 _INIT_STD = 0.02
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Fewest rows of a packed batch: OpenBLAS rounds a product of 15 rows or
+# fewer with other kernels, so a smaller batch gets PAD_ID rows.
+_MIN_ROWS = 16
 
 Bounds = list[tuple[int, int]]  # each sentence's (start, end) rows in a packed batch
 
@@ -76,12 +79,8 @@ class EncoderConfig:
 class LayerParams:
     """Weights of one transformer block, row-vector convention (x @ W + b)."""
 
-    attn_q_w: np.ndarray
-    attn_q_b: np.ndarray
-    attn_k_w: np.ndarray
-    attn_k_b: np.ndarray
-    attn_v_w: np.ndarray
-    attn_v_b: np.ndarray
+    attn_qkv_w: np.ndarray
+    attn_qkv_b: np.ndarray
     attn_out_w: np.ndarray
     attn_out_b: np.ndarray
     norm1_gain: np.ndarray
@@ -97,16 +96,15 @@ class LayerParams:
 def _layout(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Name and shape of every parameter tensor, in serialization order.
 
-    Token embedding, position embedding, then per layer the 16 tensors of
-    ``LayerParams`` (Q/K/V/O projections with biases, the two layer norms,
-    the feed-forward weights), and finally the closing layer-norm gain and
-    bias. This is the only place that knows shapes and order.
+    Token embedding, position embedding, then per layer the 12 tensors of
+    ``LayerParams`` (the stacked Q/K/V projection and the output projection
+    with their biases, the two layer norms, the feed-forward weights), and
+    finally the closing layer-norm gain and bias. This is the only place
+    that knows shapes and order.
     """
     d, f = config.dim, config.ffn_mult * config.dim
     block = [
-        ("attn_q_w", (d, d)), ("attn_q_b", (d,)),
-        ("attn_k_w", (d, d)), ("attn_k_b", (d,)),
-        ("attn_v_w", (d, d)), ("attn_v_b", (d,)),
+        ("attn_qkv_w", (3, d, d)), ("attn_qkv_b", (3, d)),
         ("attn_out_w", (d, d)), ("attn_out_b", (d,)),
         ("norm1_gain", (d,)), ("norm1_bias", (d,)),
         ("norm2_gain", (d,)), ("norm2_bias", (d,)),
@@ -204,9 +202,10 @@ class Cache:
     """Intermediate activations saved by forward for the backward pass.
 
     ``ids`` holds the packed token id of each row, and ``mask`` is 1 on
-    every real row and 0 on the padding row of a one-token batch. Backward
-    reads only ``ids`` of the two; both stay so a caller can weigh the rows
-    a batch cost (``ids.size``) against its real tokens (``mask.sum()``).
+    every real row and 0 on the padding rows of a batch of fewer than
+    ``_MIN_ROWS`` tokens. Backward reads only ``ids`` of the two; both stay
+    so a caller can weigh the rows a batch cost (``ids.size``) against its
+    real tokens (``mask.sum()``).
     """
 
     ids: np.ndarray
@@ -282,9 +281,9 @@ def _block_forward(
     heads = (rows, n_heads, d // n_heads)
     h1, ln1c = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
     # (heads, rows, dh) views of the projections: a sentence is a slice.
-    qh = (h1 @ layer.attn_q_w + layer.attn_q_b).reshape(heads).transpose(1, 0, 2)
-    kh = (h1 @ layer.attn_k_w + layer.attn_k_b).reshape(heads).transpose(1, 0, 2)
-    vh = (h1 @ layer.attn_v_w + layer.attn_v_b).reshape(heads).transpose(1, 0, 2)
+    qkv = h1 @ layer.attn_qkv_w
+    qkv += layer.attn_qkv_b[:, None]
+    qh, kh, vh = qkv.reshape(3, *heads).transpose(0, 2, 1, 3)
     alpha = np.asarray(1.0 / math.sqrt(heads[2]), dtype=x.dtype)
     ctx = np.zeros(heads, dtype=x.dtype)
     ctxh = ctx.transpose(1, 0, 2)
@@ -332,14 +331,10 @@ def _block_backward(
         d_qh[:, s:e] = d_scores @ kh[:, s:e]
         d_kh[:, s:e] = d_scores.transpose(0, 2, 1) @ qh[:, s:e]
     d_qkv[:2] *= alpha
-    d_q, d_k, d_v = d_qkv.reshape(3, rows, -1)
-    d_h1 = d_q @ layer.attn_q_w.T + d_k @ layer.attn_k_w.T + d_v @ layer.attn_v_w.T
-    grads.attn_q_w += h1.T @ d_q
-    grads.attn_q_b += d_q.sum(axis=0)
-    grads.attn_k_w += h1.T @ d_k
-    grads.attn_k_b += d_k.sum(axis=0)
-    grads.attn_v_w += h1.T @ d_v
-    grads.attn_v_b += d_v.sum(axis=0)
+    d_qkv = d_qkv.reshape(3, rows, -1)
+    d_h1 = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
+    grads.attn_qkv_w += h1.T @ d_qkv
+    grads.attn_qkv_b += d_qkv.sum(axis=1)
     return d_x1 + _layer_norm_backward(
         d_h1, layer.norm1_gain, ln1c, grads.norm1_gain, grads.norm1_bias
     )
@@ -348,8 +343,8 @@ def _block_backward(
 def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, list[int]]:
     """Concatenate the sentences' token ids; returns (int64 ids, lengths).
 
-    A one-token batch gets a ``PAD_ID`` row (unless ``max_len`` is 1): a
-    one-row product runs as a matrix-vector product and rounds differently.
+    A batch of fewer than ``_MIN_ROWS`` tokens is padded with ``PAD_ID``
+    rows up to that count, so that no product runs on fewer rows.
     """
     if not batch:
         raise ValidationError("cannot encode an empty batch")
@@ -371,9 +366,8 @@ def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, li
                 raise ValidationError(f"sequence {i}: token ids must be integers, got {seq.dtype}")
             if ((seq < 0) | (seq >= config.vocab_size)).any():
                 raise ValidationError(f"sequence {i}: token id outside [0, {config.vocab_size})")
-    ids = flat.astype(np.int64)
-    if ids.size < min(2, config.max_len):
-        ids = np.append(ids, PAD_ID)
+    ids = np.full(max(flat.size, _MIN_ROWS), PAD_ID, dtype=np.int64)
+    ids[: flat.size] = flat
     return ids, lengths
 
 
@@ -385,7 +379,7 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     norms) run on the whole matrix; attention and mean pooling run on each
     sentence's own rows, so a row does not depend on the rest of its batch
     (the README's Determinism section has the BLAS caveat). Only a batch of
-    one token in total gets a padding row (see ``_pack``).
+    fewer than ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``).
     """
     config = params.config
     ids, lengths = _pack(batch, config)

@@ -4,8 +4,9 @@ Two ids are reserved: 0 for padding, 1 for unknown tokens. Real tokens are
 ranked by descending corpus frequency, ties broken lexicographically, and
 assigned ids from 2 upward. A sentence is encoded as the list of its real
 token ids; it is never padded. The encoder packs a batch's real tokens
-back to back, adding a padding row only to a batch of one token (a
-one-row product rounds differently), and id 0 never stands for a word.
+back to back, padding only a batch of fewer than 16 tokens up to 16 rows
+(a product of fewer rows may round differently), and id 0 never stands for
+a word.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .tokenizer import Vocab, encode_batch
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"BEMB"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sI")
 _HASH_BYTES = 32
 # adamw_step's slice length: short enough that a block stays in cache

@@ -180,10 +180,12 @@ def _conditional_probabilities(x: np.ndarray, target_bits: float) -> np.ndarray:
         entropy_bits = -terms.sum(axis=1)
         # A row with k positive entries sums exactly those k, as a 1-D sum
         # of length k would; rows of equal k stack into one (rows, k) sum.
+        # p is not read again this step, so its buffer takes their rows.
         kept = positive.sum(axis=1)
         for k in np.unique(kept[kept < n - 1]):
             same = np.flatnonzero(kept == k)
-            entropy_bits[same] = -terms[same][positive[same]].reshape(same.size, k).sum(axis=1)
+            rows_k = np.take(terms, same, axis=0, out=p_buf[: same.size], mode="clip")
+            entropy_bits[same] = -rows_k[positive[same]].reshape(same.size, k).sum(axis=1)
         searching = ~(np.abs(entropy_bits - target_bits) <= _PERPLEXITY_TOL_BITS)
         rows, beta, lo, hi = rows[searching], beta[searching], lo[searching], hi[searching]
         if rows.size == 0:

@@ -75,7 +75,7 @@ class TestInit:
         assert names[0] == "token_embedding"
         assert names[1] == "position_embedding"
         assert names[-2:] == ["final_gain", "final_bias"]
-        assert len(names) == 2 + 16 * tiny_config.n_layers + 2
+        assert len(names) == 2 + 12 * tiny_config.n_layers + 2
 
     def test_param_count_closed_form(self, tiny_config):
         c = tiny_config
@@ -104,7 +104,9 @@ class TestForward:
         emb, cache = forward(params, batch)
         assert emb.vectors.shape == (2, tiny_config.dim)
         assert np.isfinite(emb.vectors).all()
-        assert cache.ids.shape == (5,)
+        # 5 real tokens, padded to the floor of 16 rows.
+        assert cache.ids.shape == (16,)
+        assert cache.mask.sum() == 5
 
     def test_extra_padding_is_bit_exact_inert(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
@@ -113,7 +115,8 @@ class TestForward:
         long = short + encode_batch(tiny_vocab, ["the sun is warm a dog"], max_len=6)
         emb_short, _ = forward(params, short)
         emb_long, cache_long = forward(params, long)
-        assert cache_long.ids.shape == (2 + 3 + 6,)
+        assert cache_long.ids.shape == (16,)
+        assert cache_long.mask.sum() == 2 + 3 + 6
         assert np.array_equal(emb_short.vectors, emb_long.vectors[:2])
 
     def test_rows_do_not_interact(self, tiny_config, tiny_vocab):

@@ -2,14 +2,16 @@
 
 `forward` packs the real tokens of a batch back to back, so its cache holds
 one row per real token (`bench/tracing.py` reads that from `Cache.ids` and
-`Cache.mask`). Properties over random texts, input orders, chunk sizes and
-batch neighbours, at the paper-default width of dim 32 and at dim 128: a
-sentence's row must not change when a real ``MAX_LEN``-word sentence joins
-its batch, and the gradients must not change beyond rounding.
+`Cache.mask`), padded to 16 rows when it has fewer tokens. Properties over
+random texts, input orders, chunk sizes and batch neighbours, at the
+paper-default width of dim 32 and at dims 128 to 384: a sentence's row must
+not change when a real ``MAX_LEN``-word sentence joins its batch, and the
+gradients must not change beyond rounding.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -41,17 +43,23 @@ CONFIG = EncoderConfig(
 PARAMS = init_params(CONFIG)
 PARAMS_64 = init_params(CONFIG, dtype=np.float64)
 
-# The larger bench width. Its sentences have 16 or more tokens, so every
-# product has at least 16 rows: OpenBLAS may round a float32 product with
-# inner dimension 512 differently below that (the README's BLAS caveat).
+# The larger bench width and wider encoders. With OpenBLAS, a float32
+# product of 15 rows or fewer rounds differently at these widths (at dim
+# 128, one with inner dimension 512), so a sentence of under 16 tokens
+# embedded alone relies on the floor of 16 packed rows.
 CONFIG_128 = EncoderConfig(
     vocab_size=VOCAB.size, dim=128, n_layers=2, n_heads=4, ffn_mult=4, max_len=64, seed=12
 )
-PARAMS_128 = init_params(CONFIG_128)
+WIDE_PARAMS = [init_params(CONFIG_128)] + [
+    init_params(dataclasses.replace(CONFIG_128, dim=dim, n_layers=1, seed=12 + dim))
+    for dim in (192, 256, 384)
+]
 
 words = st.sampled_from(WORDS + ["unknown"])
 sentence = st.lists(words, min_size=1, max_size=12).map(" ".join)
-long_sentence = st.lists(words, min_size=16, max_size=63).map(" ".join)
+wide_sentence = st.lists(words, min_size=1, max_size=15).map(" ".join) | st.lists(
+    words, min_size=16, max_size=63
+).map(" ".join)
 LONGEST = " ".join(WORDS[:MAX_LEN])
 LONGEST_64 = " ".join((WORDS * 2)[:64])
 
@@ -77,11 +85,12 @@ def assert_rows_equal_alone(params, texts, longest):
 @settings(max_examples=60, deadline=None)
 @given(
     texts=st.lists(sentence, min_size=1, max_size=8),
-    long_texts=st.lists(long_sentence, min_size=1, max_size=3),
+    wide_texts=st.lists(wide_sentence, min_size=1, max_size=4),
+    wide_params=st.sampled_from(WIDE_PARAMS),
 )
-def test_rows_of_a_padded_batch_equal_each_sentence_alone(texts, long_texts):
+def test_rows_of_a_padded_batch_equal_each_sentence_alone(texts, wide_texts, wide_params):
     assert_rows_equal_alone(PARAMS, texts, LONGEST)
-    assert_rows_equal_alone(PARAMS_128, long_texts, LONGEST_64)
+    assert_rows_equal_alone(wide_params, wide_texts, LONGEST_64)
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,7 +105,7 @@ def test_embed_rows_match_one_padded_pass(one_word_texts, other_texts, data):
 
     order = data.draw(st.permutations(range(len(texts))), label="order")
     # A chunk size of 1 gives one-token chunks for the one-word texts, which
-    # need the row floor of 2.
+    # the row floor of 16 pads.
     batch_size = data.draw(
         st.integers(1, len(one_word_texts)) | st.integers(1, len(texts) + 1), label="batch_size"
     )
@@ -118,7 +127,7 @@ def test_backward_on_trimmed_batch_matches_padded(texts, seed):
     emb_padded, cache_padded = forward(PARAMS_64, padded)
     emb_trimmed, cache_trimmed = forward(PARAMS_64, trimmed)
     assert cache_padded.ids.size == sum(len(seq) for seq in padded)
-    assert cache_trimmed.ids.size == max(2, sum(len(seq) for seq in trimmed))
+    assert cache_trimmed.ids.size == max(16, sum(len(seq) for seq in trimmed))
     assert np.allclose(emb_padded.vectors[:-1], emb_trimmed.vectors, rtol=1e-12, atol=1e-15)
 
     # The added sentence gets a zero weight row, so it adds only zero terms.
@@ -152,5 +161,5 @@ def test_train_stacks_each_batch_at_its_longest_real_length(sources, batch_size)
         )
     assert len(packed) == ckpt.training_meta["steps"] > 0
     for rows, real_rows, n_real in packed:
-        assert rows == max(n_real, min(2, MAX_LEN))
+        assert rows == max(n_real, 16)
         assert real_rows == n_real

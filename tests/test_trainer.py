@@ -354,6 +354,9 @@ class TestCheckpointFile:
         cases = {
             "bad magic": b"XXXX" + blob[4:],
             "bad version": blob[:4] + struct.pack("<I", 9) + blob[8:],
+            # Version 1 stored Q, K and V as separate tensors per layer: the
+            # same payload size in another order, so it must not load.
+            "version 1": blob[:4] + struct.pack("<I", 1) + blob[8:],
             "truncated tensor": blob[:-8],
             "trailing bytes": blob + b"\x00" * 4,
             "json overrun": blob[:8] + struct.pack("<I", 2**31) + blob[12:],
@@ -379,7 +382,7 @@ class TestCheckpointFile:
         path = tmp_path / "golden.bemb"
         save_checkpoint(ckpt, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "17815584934a8958fd26cb838d3865bd0ddb886352fc83cf5bf8bc812c3eb30c"
+        assert digest == "5c6bce4cfd7db1852906ca2cc8f6e447623f0941f86249e786f4ef056d26b16c"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):

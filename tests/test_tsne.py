@@ -111,12 +111,17 @@ class TestJointProbabilities:
         assert np.abs(ours - theirs).max() <= 5e-3
         assert np.abs(ours - theirs).max() / ours.max() <= 0.05
 
-    def test_peak_memory_stays_under_five_and_a_half_matrices(self):
+    @pytest.mark.parametrize("shift", [0.0, 100.0], ids=["gaussian", "clustered"])
+    def test_peak_memory_stays_under_five_and_a_half_matrices(self, shift):
         # The search computes in two reused (N, N-1) buffers beside the
         # shifted distances and the result: about 4.3 such matrices at peak,
-        # against 6.3 when each step allocated its products afresh.
+        # against 6.3 when each step allocated its products afresh. Two
+        # far-apart clusters underflow every row's cross-cluster entries,
+        # so the entropy sum gathers the positive terms: about 4.8, against
+        # 5.8 when that gather allocated a fresh copy of the rows.
         n = 400
         x = np.random.default_rng(0).normal(size=(n, 32))
+        x[: n // 2] += shift
         tracemalloc.start()
         try:
             joint_probabilities(x, perplexity=30.0)
