@@ -1,9 +1,9 @@
 """A compact transformer sentence encoder in plain NumPy.
 
 Forward pass: token + learned position embeddings, a stack of pre-norm
-transformer blocks (multi-head self-attention, then a GELU feed-forward,
-each wrapped in residual connections), a final layer norm, and mean
-pooling over each sentence's tokens. No dropout anywhere.
+transformer blocks (multi-head self-attention, then a feed-forward with the
+tanh-form GELU, each wrapped in residual connections), a final layer norm,
+and mean pooling over each sentence's tokens. No dropout anywhere.
 
 The backward pass is written by hand so gradients are exact, not
 approximated. A batch is packed: the real tokens of all its sentences sit
@@ -27,15 +27,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ValidationError
 from .tokenizer import PAD_ID, Vocab, encode_batch
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Tanh-form GELU of Hendrycks & Gimpel 2016 (arXiv:1606.08415):
+# 0.5·u·(1 + tanh(c·(u + a·u³))).
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 # Fewest rows of a packed batch: OpenBLAS rounds a product of 15 rows or
 # fewer with other kernels, so a smaller batch gets PAD_ID rows.
 _MIN_ROWS = 16
@@ -58,7 +59,7 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         for name in ("vocab_size", "dim", "n_layers", "n_heads", "ffn_mult", "max_len"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
         if self.vocab_size < 3:
             raise ValidationError(f"vocab_size must be >= 3 (two ids are reserved), got {self.vocab_size}")
@@ -66,7 +67,7 @@ class EncoderConfig:
             raise ValidationError(
                 f"dim ({self.dim}) must be divisible by n_heads ({self.n_heads})"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
@@ -265,13 +266,43 @@ def _layer_norm_backward(
     return (g - m1 - xhat * m2) * inv
 
 
-def _gelu(u: np.ndarray, erf_u: np.ndarray) -> np.ndarray:
-    """GELU from its pre-activation and ``erf(u / sqrt(2))``, kept for backward."""
-    return 0.5 * u * (1.0 + erf_u)
+def _gelu_tanh(u: np.ndarray) -> np.ndarray:
+    """``tanh(c·(u + a·u³))``, the GELU term that backward reuses, in one buffer."""
+    t = u * u
+    t *= _GELU_A
+    t += 1.0
+    t *= u
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
-def _gelu_grad(u: np.ndarray, erf_u: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf_u) + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI
+def _gelu(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU from its pre-activation ``u`` and ``t = _gelu_tanh(u)``."""
+    g = t + 1.0
+    g *= u
+    g *= 0.5
+    return g
+
+
+def _gelu_grad(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exact derivative of the tanh-form GELU, in two work arrays.
+
+    ``0.5·(1+t) + 0.5·u·(1−t²)·c·(1 + 3a·u²)``, computed as
+    ``0.5·(1+t)·(1 + c·u·(1−t)·(1 + 3a·u²))``: the factor that vanishes as
+    the GELU saturates, ``1−t`` or ``1+t``, is then exact, not ``1−t²``.
+    """
+    w = u * u
+    w *= 3.0 * _GELU_A
+    w += 1.0
+    w *= u
+    w *= _GELU_C
+    v = 1.0 - t
+    w *= v
+    w += 1.0
+    np.add(t, 1.0, out=v)
+    w *= v
+    w *= 0.5
+    return w
 
 
 def _block_forward(
@@ -297,22 +328,24 @@ def _block_forward(
     cat = ctx.reshape(rows, d)
     x1 = x + (cat @ layer.attn_out_w + layer.attn_out_b)
     h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
-    u = h2 @ layer.ffn_in_w + layer.ffn_in_b
-    erf_u = erf(u * _INV_SQRT2)
-    x2 = x1 + (_gelu(u, erf_u) @ layer.ffn_out_w + layer.ffn_out_b)
-    cache = (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, erf_u)
+    u = h2 @ layer.ffn_in_w
+    u += layer.ffn_in_b
+    t = _gelu_tanh(u)
+    x2 = x1 + (_gelu(u, t) @ layer.ffn_out_w + layer.ffn_out_b)
+    cache = (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t)
     return x2, cache
 
 
 def _block_backward(
     d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams, bounds: Bounds
 ) -> np.ndarray:
-    h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, erf_u = cache
+    h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t = cache
     n_heads, rows, dh = qh.shape
 
-    grads.ffn_out_w += _gelu(u, erf_u).T @ d_out
+    grads.ffn_out_w += _gelu(u, t).T @ d_out
     grads.ffn_out_b += d_out.sum(axis=0)
-    d_u = (d_out @ layer.ffn_out_w.T) * _gelu_grad(u, erf_u)
+    d_u = d_out @ layer.ffn_out_w.T
+    d_u *= _gelu_grad(u, t)
     grads.ffn_in_w += h2.T @ d_u
     grads.ffn_in_b += d_u.sum(axis=0)
     d_x1 = d_out + _layer_norm_backward(

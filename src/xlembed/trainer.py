@@ -72,8 +72,10 @@ class TrainingConfig:
             raise ValidationError(f"loss must be 'mse' or 'mnr', got {self.loss!r}")
         for name in ("epochs", "batch_size", "max_len", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.shuffle, bool):
+            raise ValidationError(f"shuffle must be a bool, got {self.shuffle!r}")
         for name in ("base_lr", "warmup_ratio", "weight_decay", "beta1", "beta2", "eps", "scale"):
             value = getattr(self, name)
             if not math.isfinite(value):

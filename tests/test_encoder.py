@@ -39,6 +39,17 @@ class TestConfig:
         with pytest.raises(ValidationError):
             EncoderConfig(vocab_size=10, dim=8, n_layers=1, n_heads=2, seed=-1)
 
+    @pytest.mark.parametrize(
+        "field", ["vocab_size", "dim", "n_layers", "n_heads", "ffn_mult", "max_len", "seed"]
+    )
+    def test_rejects_bool_counts(self, field):
+        # bool is a subclass of int: True would pass as 1 and False as 0.
+        fields = dict(vocab_size=10, dim=1, n_layers=1, n_heads=1, ffn_mult=1, max_len=1, seed=0)
+        EncoderConfig(**fields)
+        fields[field] = field != "seed"
+        with pytest.raises(ValidationError, match=field):
+            EncoderConfig(**fields)
+
 
 class TestInit:
     def test_same_seed_bit_identical(self, tiny_config):

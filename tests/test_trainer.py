@@ -172,6 +172,13 @@ class TestTrainingConfig:
             dict(scale=math.nan),
             dict(weight_decay=math.nan),
             dict(epochs=1.5),
+            # bool is a subclass of int: True would pass as 1 and False as 0.
+            dict(epochs=True),
+            dict(batch_size=True),
+            dict(max_len=True),
+            dict(seed=False),
+            dict(shuffle="no"),
+            dict(shuffle=0),
         ]
         for kwargs in bad:
             with pytest.raises(ValidationError):
@@ -382,7 +389,7 @@ class TestCheckpointFile:
         path = tmp_path / "golden.bemb"
         save_checkpoint(ckpt, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "5c6bce4cfd7db1852906ca2cc8f6e447623f0941f86249e786f4ef056d26b16c"
+        assert digest == "d9b30798c5cefb2856afe86cdf54c3ad9ea1c05435e09725da1fc726874b80e6"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
