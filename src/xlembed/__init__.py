@@ -24,7 +24,6 @@ from .encoder import (
     EncoderParams,
     backward,
     embed,
-    empty_params,
     forward,
     init_params,
 )

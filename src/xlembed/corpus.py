@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_count
 
 
 @dataclass
@@ -33,7 +33,6 @@ class ParallelCorpus:
     """
 
     pairs: list[tuple[str, str]]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -51,7 +50,6 @@ class ScoredPairs:
 
     pairs: list[tuple[str, str]]
     scores: list[float]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -116,7 +114,7 @@ def load_parallel(path: str | Path, format: str = "tsv") -> ParallelCorpus:
             if not isinstance(record["src"], str) or not isinstance(record["tgt"], str):
                 raise FormatError(f"{path}: line {lineno}: 'src' and 'tgt' must be strings")
             pairs.append((record["src"], record["tgt"]))
-    return ParallelCorpus(pairs=pairs, provenance=str(path))
+    return ParallelCorpus(pairs=pairs)
 
 
 def load_scored_pairs(path: str | Path) -> ScoredPairs:
@@ -137,7 +135,7 @@ def load_scored_pairs(path: str | Path) -> ScoredPairs:
             raise FormatError(f"{path}: line {lineno}: score {score} outside [0, 5]")
         pairs.append((fields[0], fields[1]))
         scores.append(score)
-    return ScoredPairs(pairs=pairs, scores=scores, provenance=str(path))
+    return ScoredPairs(pairs=pairs, scores=scores)
 
 
 def load_labeled(path: str | Path) -> LabeledSentences:
@@ -182,10 +180,8 @@ def preprocess(corpus: ParallelCorpus, min_chars: int = 1, max_chars: int = 512)
     target) are dropped keeping the first occurrence. Order is preserved
     and the operation is idempotent.
     """
-    if min_chars < 1:
-        raise ValidationError(f"min_chars must be >= 1, got {min_chars}")
-    if max_chars < min_chars:
-        raise ValidationError(f"max_chars ({max_chars}) must be >= min_chars ({min_chars})")
+    check_count("min_chars", min_chars, 1)
+    check_count("max_chars", max_chars, min_chars)
     kept: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     for src, tgt in corpus.pairs:
@@ -196,7 +192,7 @@ def preprocess(corpus: ParallelCorpus, min_chars: int = 1, max_chars: int = 512)
             continue
         seen.add((src, tgt))
         kept.append((src, tgt))
-    return ParallelCorpus(pairs=kept, provenance=corpus.provenance)
+    return ParallelCorpus(pairs=kept)
 
 
 def split(
@@ -213,13 +209,11 @@ def split(
         raise ValidationError(f"need at least 2 pairs to split, got {n}")
     if not 0.0 < val_fraction < 1.0:
         raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    check_count("seed", seed, 0)
     n_val = int(round(val_fraction * n))
     n_val = max(1, min(n_val, n - 1))
     perm = np.random.default_rng(seed).permutation(n)
     val_idx = set(perm[:n_val].tolist())
     train_pairs = [p for i, p in enumerate(corpus.pairs) if i not in val_idx]
     val_pairs = [p for i, p in enumerate(corpus.pairs) if i in val_idx]
-    return (
-        ParallelCorpus(pairs=train_pairs, provenance=corpus.provenance),
-        ParallelCorpus(pairs=val_pairs, provenance=corpus.provenance),
-    )
+    return ParallelCorpus(pairs=train_pairs), ParallelCorpus(pairs=val_pairs)

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .tokenizer import PAD_ID, Vocab, encode_batch
 
 _LN_EPS = 1e-5
@@ -57,18 +57,14 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "dim", "n_layers", "n_heads", "ffn_mult", "max_len"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-        if self.vocab_size < 3:
-            raise ValidationError(f"vocab_size must be >= 3 (two ids are reserved), got {self.vocab_size}")
+        check_count("vocab_size", self.vocab_size, 3)  # two ids are reserved
+        for name in ("dim", "n_layers", "n_heads", "ffn_mult", "max_len"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         if self.dim % self.n_heads != 0:
             raise ValidationError(
                 f"dim ({self.dim}) must be divisible by n_heads ({self.n_heads})"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_params(self) -> int:
@@ -202,24 +198,22 @@ class EmbeddingBatch:
 class Cache:
     """Intermediate activations saved by forward for the backward pass.
 
-    ``ids`` holds the packed token id of each row, and ``mask`` is 1 on
-    every real row and 0 on the padding rows of a batch of fewer than
-    ``_MIN_ROWS`` tokens. Backward reads only ``ids`` of the two; both stay
-    so a caller can weigh the rows a batch cost (``ids.size``) against its
-    real tokens (``mask.sum()``).
+    ``ids`` holds the packed token id of each row, and ``bounds`` each
+    sentence's (start, end) rows; a sentence's length is ``end - start``.
+    Rows past the last end are the padding of a batch of fewer than
+    ``_MIN_ROWS`` tokens.
     """
 
     ids: np.ndarray
-    mask: np.ndarray
     bounds: Bounds
     layer_caches: list[tuple]
     final_norm_cache: tuple
-    counts: np.ndarray
 
-
-def empty_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams:
-    """Allocate parameters with an uninitialized buffer."""
-    return EncoderParams(config, np.empty(config.n_params, dtype=dtype))
+    @property
+    def mask(self) -> np.ndarray:
+        """True on every real row, False on padding: a caller weighs the rows
+        a batch cost (``ids.size``) against its real tokens (``mask.sum()``)."""
+        return np.arange(self.ids.size) < self.bounds[-1][1]
 
 
 def init_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams:
@@ -230,7 +224,7 @@ def init_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams
     (config, dtype) always produce bit-identical parameters.
     """
     rng = np.random.default_rng(config.seed)
-    params = empty_params(config, dtype)
+    params = EncoderParams(config, np.empty(config.n_params, dtype=dtype))
     for name, arr in params.tensors():
         leaf = name.rsplit(".", 1)[-1]
         if leaf.endswith("_gain"):
@@ -418,7 +412,6 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     ids, lengths = _pack(batch, config)
     ends = list(itertools.accumulate(lengths))
     bounds = [(e - n, e) for n, e in zip(lengths, ends)]
-    mask = (np.arange(ids.size) < ends[-1]).astype(params.dtype)
 
     x = params.token_embedding[ids]
     for s, e in bounds:
@@ -433,7 +426,7 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     embeddings = np.stack([xf[s:e].sum(axis=0) for s, e in bounds])
     embeddings /= counts[:, None]
 
-    return EmbeddingBatch(vectors=embeddings), Cache(ids, mask, bounds, layer_caches, lnfc, counts)
+    return EmbeddingBatch(vectors=embeddings), Cache(ids, bounds, layer_caches, lnfc)
 
 
 def backward(
@@ -455,7 +448,8 @@ def backward(
         raise ValidationError("grads must have the config and dtype of params")
     grads.flat.fill(0)
 
-    d_pooled = grad_output / cache.counts[:, None]
+    counts = np.array([e - s for s, e in cache.bounds], dtype=params.dtype)
+    d_pooled = grad_output / counts[:, None]
     d_xf = np.zeros((cache.ids.size, config.dim), dtype=params.dtype)
     for row, (s, e) in zip(d_pooled, cache.bounds):
         d_xf[s:e] = row
@@ -493,8 +487,7 @@ def embed(
         raise ValidationError(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
         )
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    check_count("batch_size", batch_size, 1)
     seqs = encode_batch(vocab, texts, max_len)
     chunks = [
         forward(params, seqs[start : start + batch_size])[0].vectors

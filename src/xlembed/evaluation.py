@@ -7,14 +7,13 @@ All statistics are computed in double precision. Spearman uses fractional
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import EmbeddingBatch, EncoderParams, embed
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .losses import cosine
 from .tokenizer import Vocab
 
@@ -71,8 +70,7 @@ def paraphrase_accuracy(
     A pair is predicted positive exactly when cosine >= threshold; the
     boundary itself counts as positive. The threshold must be finite.
     """
-    if not math.isfinite(threshold):
-        raise ValidationError(f"threshold must be finite, got {threshold!r}")
+    check_real("threshold", threshold)
     if len(labels) != a.count:
         raise ValidationError(f"{len(labels)} labels for {a.count} pairs")
     if any(l not in (0, 1) for l in labels):

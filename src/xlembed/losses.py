@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EmbeddingBatch
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 
 
 @dataclass
@@ -91,6 +91,7 @@ def mnr_loss(teacher: EmbeddingBatch, student: EmbeddingBatch, scale: float = 20
     the plain ranking objective; larger scales sharpen the softmax. A
     single-row batch has no negatives and scores exactly zero.
     """
+    check_real("scale", scale)
     if scale <= 0.0:
         raise ValidationError(f"scale must be positive, got {scale}")
     t, s = _aligned(teacher, student)

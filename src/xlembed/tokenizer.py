@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import ParallelCorpus, read_lines
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_count
 
 PAD_ID = 0
 UNK_ID = 1
@@ -66,10 +66,8 @@ def build_vocab(
     """
     if side not in ("source", "target"):
         raise ValidationError(f"side must be 'source' or 'target', got {side!r}")
-    if max_size < 3:
-        raise ValidationError(f"max_size must be >= 3, got {max_size}")
-    if min_freq < 1:
-        raise ValidationError(f"min_freq must be >= 1, got {min_freq}")
+    check_count("max_size", max_size, 3)
+    check_count("min_freq", min_freq, 1)
     texts = corpus.sources() if side == "source" else corpus.targets()
     counts: Counter[str] = Counter()
     for text in texts:

@@ -32,7 +32,7 @@ from .encoder import (
     forward,
     init_params,
 )
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_count, check_real
 from .losses import LossResult, mnr_loss, mse_loss
 from .teacher import TeacherTable
 from .tokenizer import Vocab, encode_batch
@@ -70,20 +70,12 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.loss not in ("mse", "mnr"):
             raise ValidationError(f"loss must be 'mse' or 'mnr', got {self.loss!r}")
-        for name in ("epochs", "batch_size", "max_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("max_len", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
         if not isinstance(self.shuffle, bool):
             raise ValidationError(f"shuffle must be a bool, got {self.shuffle!r}")
         for name in ("base_lr", "warmup_ratio", "weight_decay", "beta1", "beta2", "eps", "scale"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+            check_real(name, getattr(self, name))
         if self.loss == "mnr" and self.batch_size < 2:
             raise ValidationError("ranking loss needs in-batch negatives; batch_size must be >= 2")
         if self.base_lr <= 0.0:
@@ -98,10 +90,6 @@ class TrainingConfig:
             raise ValidationError(f"eps must be positive, got {self.eps}")
         if self.scale <= 0.0:
             raise ValidationError(f"scale must be positive, got {self.scale}")
-        if self.max_len < 1:
-            raise ValidationError(f"max_len must be >= 1, got {self.max_len}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -131,12 +119,19 @@ class OptimizerState:
 
 @dataclass
 class Checkpoint:
-    """A trained encoder: config, vocab fingerprint, weights, run metadata."""
+    """A trained encoder: vocab fingerprint, weights, run metadata.
 
-    config: EncoderConfig
+    ``config`` is read from the weights, so a checkpoint cannot pair them
+    with another architecture (2 and 4 heads, say, hold as many scalars).
+    """
+
     vocab_hash: bytes
     params: EncoderParams
     training_meta: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def config(self) -> EncoderConfig:
+        return self.params.config
 
 
 def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> float:
@@ -309,7 +304,6 @@ def train(
     # 128, batch 32, an `eval-sts` call after `train` took 4,400 more page
     # faults and ~15 ms longer).
     return Checkpoint(
-        config=enc_config,
         vocab_hash=vocab.content_hash(),
         params=EncoderParams(enc_config, params.flat.copy()),
         training_meta=meta,
@@ -324,12 +318,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     if len(ckpt.vocab_hash) != _HASH_BYTES:
         raise ValidationError(
             f"vocab hash must be {_HASH_BYTES} bytes, got {len(ckpt.vocab_hash)}"
-        )
-    # Configs with equal parameter counts (say, 2 and 4 heads) would load
-    # the weights silently under the wrong architecture.
-    if ckpt.config != ckpt.params.config:
-        raise ValidationError(
-            f"checkpoint config {ckpt.config} differs from its weights' {ckpt.params.config}"
         )
     meta_json = json.dumps(
         {"config": asdict(ckpt.config), "training_meta": ckpt.training_meta},
@@ -378,7 +366,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         problem = "truncated checkpoint" if size < expected else "trailing bytes after the last tensor"
         raise FormatError(f"{p}: {problem} ({size} parameter bytes, the config needs {expected})")
     flat = np.frombuffer(blob, dtype="<f4", offset=offset).astype(np.float32)
-    params = EncoderParams(config, flat)
-    return Checkpoint(
-        config=config, vocab_hash=vocab_hash, params=params, training_meta=training_meta
-    )
+    return Checkpoint(vocab_hash, EncoderParams(config, flat), training_meta)

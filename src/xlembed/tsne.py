@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_real
 
 _PERPLEXITY_TOL_BITS = 1e-3
 _MAX_SEARCH_STEPS = 200
@@ -55,26 +54,18 @@ class TsneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("iterations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        check_count("iterations", self.iterations, 1)
+        check_count("seed", self.seed, 0)
         for name in ("perplexity", "learning_rate", "early_exaggeration"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            check_real(name, getattr(self, name))
         if not self.perplexity > 1.0:
             raise ValidationError(f"perplexity must be > 1, got {self.perplexity}")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.learning_rate <= 0.0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.early_exaggeration < 1.0:
             raise ValidationError(
                 f"early_exaggeration must be >= 1, got {self.early_exaggeration}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -220,18 +211,14 @@ def kl_divergence(p: np.ndarray, layout: np.ndarray) -> float:
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
-def run_tsne(
-    x,
-    config: TsneConfig,
-    on_iteration: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
+def run_tsne(x, config: TsneConfig) -> np.ndarray:
     """Project rows of x to 2-D; returns an N x 2 layout in input order.
 
     Points start at seeded Gaussian noise (std 1e-4) and follow momentum
     gradient descent (0.5, then 0.8 after iteration 250) on KL(P || Q),
     with P multiplied by the early-exaggeration factor during the first
-    250 iterations. When given, on_iteration is called after every update
-    with the 0-based iteration index and a copy of the current layout.
+    250 iterations. The run of k iterations ends on the layout that a
+    longer run passes through after its first k.
     """
     x = _check_input(x)
     n = x.shape[0]
@@ -251,12 +238,6 @@ def run_tsne(
         ys[i] = np.random.default_rng((config.seed, i)).normal(0.0, 1e-4, size=2)
     velocity = np.zeros_like(ys)
     p_exaggerated = p * config.early_exaggeration
-
-    def emit(iteration: int) -> None:
-        if on_iteration is not None:
-            unsorted = np.empty_like(ys)
-            unsorted[order] = ys
-            on_iteration(iteration, unsorted)
 
     # Every iteration's N x N work happens in these two buffers.
     w = np.empty((n, n), dtype=np.float64)
@@ -278,7 +259,6 @@ def run_tsne(
             )
         velocity = momentum * velocity - config.learning_rate * grad
         ys = ys + velocity
-        emit(iteration)
 
     out = np.empty_like(ys)
     out[order] = ys

@@ -45,7 +45,6 @@ def test_save_load_save_is_byte_identical(config, data):
     bits = rng.integers(0, 2**32, size=config.n_params, dtype=np.uint32)
     params = EncoderParams(config, bits.view(np.float32))
     ckpt = Checkpoint(
-        config=config,
         vocab_hash=data.draw(st.binary(min_size=32, max_size=32), label="vocab_hash"),
         params=params,
         training_meta={"steps": data.draw(st.integers(0, 10**6), label="steps")},

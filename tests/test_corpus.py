@@ -30,7 +30,6 @@ class TestLoadParallel:
         p = write(tmp_path / "c.tsv", "hello world\tbonjour monde\n  padded \tx\n")
         corpus = load_parallel(p, "tsv")
         assert corpus.pairs == [("hello world", "bonjour monde"), ("  padded ", "x")]
-        assert corpus.provenance == p
 
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         p = write(tmp_path / "c.tsv", "")
@@ -123,6 +122,9 @@ class TestPreprocess:
             preprocess(corpus, min_chars=0)
         with pytest.raises(ValidationError):
             preprocess(corpus, min_chars=5, max_chars=4)
+        for kwargs in (dict(min_chars=True), dict(min_chars=1.5), dict(max_chars=512.0)):
+            with pytest.raises(ValidationError):
+                preprocess(corpus, **kwargs)
 
 
 class TestSplit:
@@ -147,6 +149,9 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.1):
             with pytest.raises(ValidationError):
                 split(corpus, frac, seed=0)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                split(corpus, 0.5, seed=seed)
 
     def test_parts_partition_the_corpus(self):
         rng = np.random.default_rng(3)

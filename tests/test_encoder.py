@@ -176,7 +176,7 @@ class TestForward:
             forward(params, [[2], [2**70]])
         with pytest.raises(ValidationError, match="max_len"):
             embed(params, tiny_vocab, ["the"], max_len=tiny_config.max_len + 1)
-        for batch_size in (0, -1):
+        for batch_size in (0, -1, 2.0, True):
             with pytest.raises(ValidationError, match="batch_size"):
                 embed(params, tiny_vocab, ["the", "a dog"], max_len=4, batch_size=batch_size)
 

@@ -73,8 +73,9 @@ class TestParaphraseAccuracy:
             paraphrase_accuracy(a, a, [2])
         with pytest.raises(ValidationError, match="labels"):
             paraphrase_accuracy(a, a, [1, 0])
-        with pytest.raises(ValidationError, match="threshold"):
-            paraphrase_accuracy(a, a, [1], threshold=float("nan"))
+        for threshold in (float("nan"), "0.8"):
+            with pytest.raises(ValidationError, match="threshold"):
+                paraphrase_accuracy(a, a, [1], threshold=threshold)
 
 
 class TestPearson:

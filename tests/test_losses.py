@@ -184,7 +184,8 @@ class TestMnrLoss:
         t = batch([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="zero-norm"):
             mnr_loss(t, batch([[0.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValidationError, match="scale"):
-            mnr_loss(t, t, scale=0.0)
+        for scale in (0.0, float("nan"), float("inf"), "20"):
+            with pytest.raises(ValidationError, match="scale"):
+                mnr_loss(t, t, scale=scale)
         with pytest.raises(ValidationError, match="misaligned"):
             mnr_loss(t, batch([[1.0, 0.0]]))

@@ -66,6 +66,9 @@ class TestBuildVocab:
             build_vocab(corpus_of(["   ", ""]))
         with pytest.raises(ValidationError):
             build_vocab(corpus_of(["word"]), max_size=2)
+        for kwargs in (dict(max_size=3.5), dict(max_size=True), dict(min_freq=1.0)):
+            with pytest.raises(ValidationError):
+                build_vocab(corpus_of(["word"]), **kwargs)
 
 
 class TestEncode:

@@ -177,6 +177,9 @@ class TestTrainingConfig:
             dict(batch_size=True),
             dict(max_len=True),
             dict(seed=False),
+            dict(base_lr="1"),
+            dict(eps=None),
+            dict(beta1=True),
             dict(shuffle="no"),
             dict(shuffle=0),
         ]
@@ -402,15 +405,18 @@ class TestCheckpointFile:
         with pytest.raises(ValidationError, match="hash"):
             save_checkpoint(bad, tmp_path / "x.bemb")
 
-    def test_save_rejects_config_of_other_weights(self, trained, tmp_path):
+    def test_config_is_read_from_the_weights(self, trained, tmp_path):
         import dataclasses
 
         # 2-head weights under a 4-head config: the same parameter count, so
-        # the file would load silently as the wrong model.
+        # a config stored apart from the weights could load as the wrong model.
         other = dataclasses.replace(trained.config, n_heads=4)
         assert other.n_params == trained.config.n_params
-        bad = dataclasses.replace(trained, config=other)
+        with pytest.raises(TypeError, match="config"):
+            dataclasses.replace(trained, config=other)
+        assert trained.config is trained.params.config
         path = tmp_path / "x.bemb"
-        with pytest.raises(ValidationError, match="differs"):
-            save_checkpoint(bad, path)
-        assert not path.exists()
+        save_checkpoint(trained, path)
+        loaded = load_checkpoint(path)
+        assert loaded.config is loaded.params.config
+        assert loaded.config == trained.config

@@ -55,7 +55,7 @@ def reference_joint_probabilities(x, perplexity):
     return (conditional + conditional.T) / (2.0 * n)
 
 
-def reference_run_tsne(x, config, on_iteration):
+def reference_run_tsne(x, config):
     """The descent loop with fresh arrays for every N x N temporary."""
     n = x.shape[0]
     order = np.lexsort(tuple(x[:, j] for j in reversed(range(x.shape[1]))))
@@ -75,9 +75,8 @@ def reference_run_tsne(x, config, on_iteration):
         grad = 4.0 * (m.sum(axis=1)[:, None] * ys - m @ ys)
         velocity = momentum * velocity - config.learning_rate * grad
         ys = ys + velocity
-        unsorted = np.empty_like(ys)
-        unsorted[order] = ys
-        on_iteration(iteration, unsorted)
+    unsorted = np.empty_like(ys)
+    unsorted[order] = ys
     return unsorted
 
 
@@ -133,10 +132,8 @@ def test_run_tsne_matches_allocating_loop_across_exaggeration_boundary():
     gaussian = rng.normal(size=(40, 6))
     clustered = sample_points(rng, 36, 5, "clustered", 1.0)
     for x, perplexity in ((gaussian, 8.0), (clustered, 4.0)):
-        config = TsneConfig(perplexity=perplexity, iterations=262, seed=3)
-        expected, seen = [], []
-        final = reference_run_tsne(x, config, lambda i, y: expected.append((i, y.tobytes())))
-        layout = run_tsne(x, config, lambda i, y: seen.append((i, y.tobytes())))
-        assert len(seen) == 262
-        assert seen == expected
-        assert layout.tobytes() == final.tobytes()
+        # Either side of the last exaggerated update (iteration index 249).
+        for iterations in (1, 249, 250, 251, 262):
+            config = TsneConfig(perplexity=perplexity, iterations=iterations, seed=3)
+            expected = reference_run_tsne(x, config)
+            assert run_tsne(x, config).tobytes() == expected.tobytes(), iterations
