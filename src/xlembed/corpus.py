@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_count
+from .errors import FormatError, ValidationError, check_count, check_real
 
 
 @dataclass
@@ -207,6 +207,7 @@ def split(
     n = len(corpus.pairs)
     if n < 2:
         raise ValidationError(f"need at least 2 pairs to split, got {n}")
+    check_real("val_fraction", val_fraction)
     if not 0.0 < val_fraction < 1.0:
         raise ValidationError(f"val_fraction must be in (0, 1), got {val_fraction}")
     check_count("seed", seed, 0)

@@ -40,6 +40,10 @@ _GELU_A = 0.044715
 # Fewest rows of a packed batch: OpenBLAS rounds a product of 15 rows or
 # fewer with other kernels, so a smaller batch gets PAD_ID rows.
 _MIN_ROWS = 16
+# Rows per block of the GELU's chain of element-wise passes: at dim 128 a
+# block of its (rows, 4·dim) input is 256 KB in float32, so a block stays in
+# cache from one pass to the next.
+_GELU_ROWS = 128
 
 Bounds = list[tuple[int, int]]  # each sentence's (start, end) rows in a packed batch
 
@@ -240,11 +244,16 @@ def _layer_norm_forward(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv)
+    xhat = x - mu
+    y = np.multiply(xhat, xhat)
+    inv = y.mean(axis=-1, keepdims=True)
+    inv += np.asarray(_LN_EPS, dtype=x.dtype)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, (xhat, inv)
 
 
 def _layer_norm_backward(
@@ -253,16 +262,20 @@ def _layer_norm_backward(
     """Input gradient; the gain and bias gradients are added to dgain and dbias."""
     xhat, inv = cache
     g = dy * gain
+    w = g * xhat
     m1 = g.mean(axis=-1, keepdims=True)
-    m2 = (g * xhat).mean(axis=-1, keepdims=True)
-    dgain += (dy * xhat).sum(axis=0)
+    m2 = w.mean(axis=-1, keepdims=True)
+    dgain += np.multiply(dy, xhat, out=w).sum(axis=0)
     dbias += dy.sum(axis=0)
-    return (g - m1 - xhat * m2) * inv
+    g -= m1
+    g -= np.multiply(xhat, m2, out=w)
+    g *= inv
+    return g
 
 
-def _gelu_tanh(u: np.ndarray) -> np.ndarray:
+def _gelu_tanh(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``tanh(c·(u + a·u³))``, the GELU term that backward reuses, in one buffer."""
-    t = u * u
+    t = np.multiply(u, u, out=out)
     t *= _GELU_A
     t += 1.0
     t *= u
@@ -270,33 +283,58 @@ def _gelu_tanh(u: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _gelu(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _gelu(u: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """GELU from its pre-activation ``u`` and ``t = _gelu_tanh(u)``."""
-    g = t + 1.0
+    g = np.add(t, 1.0, out=out)
     g *= u
     g *= 0.5
     return g
 
 
-def _gelu_grad(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Exact derivative of the tanh-form GELU, in two work arrays.
+def _gelu_grad(
+    u: np.ndarray, t: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact derivative of the tanh-form GELU, in ``out`` and one work array.
 
     ``0.5·(1+t) + 0.5·u·(1−t²)·c·(1 + 3a·u²)``, computed as
     ``0.5·(1+t)·(1 + c·u·(1−t)·(1 + 3a·u²))``: the factor that vanishes as
     the GELU saturates, ``1−t`` or ``1+t``, is then exact, not ``1−t²``.
     """
-    w = u * u
+    w = np.multiply(u, u, out=out)
     w *= 3.0 * _GELU_A
     w += 1.0
     w *= u
     w *= _GELU_C
-    v = 1.0 - t
+    v = np.subtract(1.0, t, out=work)
     w *= v
     w += 1.0
     np.add(t, 1.0, out=v)
     w *= v
     w *= 0.5
     return w
+
+
+def _gelu_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GELU of ``u`` and its term ``t = _gelu_tanh(u)``, computed one
+    block of rows at a time so that each block's passes stay in cache."""
+    g, t = np.empty_like(u), np.empty_like(u)
+    for s in range(0, len(u), _GELU_ROWS):
+        rows = slice(s, s + _GELU_ROWS)
+        _gelu(u[rows], _gelu_tanh(u[rows], out=t[rows]), out=g[rows])
+    return g, t
+
+
+def _gelu_backward(u: np.ndarray, t: np.ndarray, d_g: np.ndarray) -> np.ndarray:
+    """Multiply the GELU's derivative into ``d_g`` in place and return the
+    GELU itself, one block of rows at a time like ``_gelu_forward``."""
+    g = np.empty_like(u)
+    work = np.empty((2, min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
+    for s in range(0, len(u), _GELU_ROWS):
+        rows = slice(s, s + _GELU_ROWS)
+        ub, tb, db = u[rows], t[rows], d_g[rows]
+        _gelu(ub, tb, out=g[rows])
+        db *= _gelu_grad(ub, tb, *work[:, : len(ub)])
+    return g
 
 
 def _block_forward(
@@ -314,18 +352,27 @@ def _block_forward(
     ctxh = ctx.transpose(1, 0, 2)
     probs = []
     for s, e in bounds:
-        scores = (qh[:, s:e] @ kh[:, s:e].transpose(0, 2, 1)) * alpha
-        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p = ex / ex.sum(axis=-1, keepdims=True)
+        # The softmax of the scaled scores, in the scores' own buffer. A max
+        # is exact in any order, so np.fmax.reduce gives .max()'s bytes
+        # without the method's dispatch.
+        p = qh[:, s:e] @ kh[:, s:e].transpose(0, 2, 1)
+        p *= alpha
+        p -= np.fmax.reduce(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
         probs.append(p)
         ctxh[:, s:e] = p @ vh[:, s:e]
     cat = ctx.reshape(rows, d)
-    x1 = x + (cat @ layer.attn_out_w + layer.attn_out_b)
+    x1 = cat @ layer.attn_out_w
+    x1 += layer.attn_out_b
+    x1 += x
     h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
     u = h2 @ layer.ffn_in_w
     u += layer.ffn_in_b
-    t = _gelu_tanh(u)
-    x2 = x1 + (_gelu(u, t) @ layer.ffn_out_w + layer.ffn_out_b)
+    g, t = _gelu_forward(u)
+    x2 = g @ layer.ffn_out_w
+    x2 += layer.ffn_out_b
+    x2 += x1
     cache = (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t)
     return x2, cache
 
@@ -336,15 +383,15 @@ def _block_backward(
     h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t = cache
     n_heads, rows, dh = qh.shape
 
-    grads.ffn_out_w += _gelu(u, t).T @ d_out
-    grads.ffn_out_b += d_out.sum(axis=0)
     d_u = d_out @ layer.ffn_out_w.T
-    d_u *= _gelu_grad(u, t)
+    grads.ffn_out_w += _gelu_backward(u, t, d_u).T @ d_out
+    grads.ffn_out_b += d_out.sum(axis=0)
     grads.ffn_in_w += h2.T @ d_u
     grads.ffn_in_b += d_u.sum(axis=0)
-    d_x1 = d_out + _layer_norm_backward(
+    d_x1 = _layer_norm_backward(
         d_u @ layer.ffn_in_w.T, layer.norm2_gain, ln2c, grads.norm2_gain, grads.norm2_bias
     )
+    d_x1 += d_out
 
     grads.attn_out_w += cat.T @ d_x1
     grads.attn_out_b += d_x1.sum(axis=0)
@@ -352,9 +399,11 @@ def _block_backward(
     d_qkv = np.zeros((3, rows, n_heads, dh), dtype=h1.dtype)
     d_qh, d_kh, d_vh = d_qkv.transpose(0, 2, 1, 3)
     for p, (s, e) in zip(probs, bounds):
-        d_probs = d_ctxh[:, s:e] @ vh[:, s:e].transpose(0, 2, 1)
         d_vh[:, s:e] = p.transpose(0, 2, 1) @ d_ctxh[:, s:e]
-        d_scores = (d_probs - (d_probs * p).sum(axis=-1, keepdims=True)) * p
+        # The softmax's backward, in the buffer of d_probs.
+        d_scores = d_ctxh[:, s:e] @ vh[:, s:e].transpose(0, 2, 1)
+        d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
+        d_scores *= p
         d_qh[:, s:e] = d_scores @ kh[:, s:e]
         d_kh[:, s:e] = d_scores.transpose(0, 2, 1) @ qh[:, s:e]
     d_qkv[:2] *= alpha
@@ -362,9 +411,9 @@ def _block_backward(
     d_h1 = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
     grads.attn_qkv_w += h1.T @ d_qkv
     grads.attn_qkv_b += d_qkv.sum(axis=1)
-    return d_x1 + _layer_norm_backward(
-        d_h1, layer.norm1_gain, ln1c, grads.norm1_gain, grads.norm1_bias
-    )
+    d_x = _layer_norm_backward(d_h1, layer.norm1_gain, ln1c, grads.norm1_gain, grads.norm1_bias)
+    d_x += d_x1
+    return d_x
 
 
 def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, list[int]]:
@@ -483,6 +532,7 @@ def embed(
     """
     if not texts:
         raise ValidationError("no texts to embed")
+    check_count("max_len", max_len, 1)
     if max_len > params.config.max_len:
         raise ValidationError(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"

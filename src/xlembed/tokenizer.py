@@ -106,8 +106,7 @@ def encode(vocab: Vocab, text: str, max_len: int) -> list[int]:
     and words spelled like a reserved entry map to the unk id. Empty or
     whitespace-only text is rejected.
     """
-    if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
+    check_count("max_len", max_len, 1)
     words = text.split()
     if not words:
         raise ValidationError(f"cannot encode empty or whitespace-only text: {text!r}")

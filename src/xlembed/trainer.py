@@ -1,8 +1,9 @@
 """Distillation training loop, AdamW optimizer, and checkpoint files.
 
 The schedule is linear warmup to the base learning rate followed by linear
-decay to zero. Optimizer math runs in double precision and results are cast
-back to the parameter dtype, so runs are bit-reproducible for a fixed seed.
+decay to zero. Optimizer math runs in the parameter dtype, as the reference
+AdamW does, and in a fixed order, so runs are bit-reproducible for a fixed
+seed.
 
 Checkpoints are little-endian binary: magic ``BEMB``, format version
 (u32), a u32-length-prefixed UTF-8 JSON blob holding the encoder config
@@ -44,7 +45,7 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sI")
 _HASH_BYTES = 32
 # adamw_step's slice length: short enough that a block stays in cache
-# through its 18 element-wise passes.
+# through its 15 element-wise passes.
 _ADAMW_BLOCK = 65536
 
 
@@ -94,9 +95,13 @@ class TrainingConfig:
 
 @dataclass
 class OptimizerState:
-    """First and second moment estimates, flat float64 arrays laid out like
-    ``EncoderParams.flat``, two float64 work rows of the same length that
-    ``adamw_step`` computes in, and the step counter."""
+    """AdamW's first and second moment estimates ``m`` and ``v``, two work
+    rows that ``adamw_step`` computes in, and the step counter.
+
+    ``m``, ``v`` and the rows of ``work`` are flat arrays in the dtype of
+    the parameters and laid out like ``EncoderParams.flat``; they are the
+    four rows of one buffer.
+    """
 
     m: np.ndarray
     v: np.ndarray
@@ -105,16 +110,16 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, params: EncoderParams) -> "OptimizerState":
-        n = params.n_params
-        # Full-length work rows, although adamw_step computes in one block
-        # of them at a time: freeing rows of one block's length after each
-        # train() lowered glibc's dynamic mmap threshold, and a following
-        # embed() ran ~14% slower on its freshly mapped activations.
-        return cls(
-            m=np.zeros(n, dtype=np.float64),
-            v=np.zeros(n, dtype=np.float64),
-            work=np.empty((2, n), dtype=np.float64),
-        )
+        # One buffer, not three arrays: with separate ones the heap kept fewer
+        # of the pages that train() had touched, and an embed() call after it
+        # took more page faults (about 2,650 against 900-1,600 at the
+        # benchmark's dim-32 size) and ran slower. The work rows are
+        # full-length, although adamw_step computes in one block of them at
+        # a time: freeing rows of one block's length after each train()
+        # lowered glibc's dynamic mmap threshold, and a following embed() ran
+        # ~14% slower on its freshly mapped activations.
+        buffer = np.zeros((4, params.n_params), dtype=params.dtype)
+        return cls(m=buffer[0], v=buffer[1], work=buffer[2:])
 
 
 @dataclass
@@ -167,12 +172,13 @@ def adamw_step(
     """One AdamW update with bias correction and decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * weight_decay) before the
-    moment-driven update is subtracted. All arithmetic happens in float64,
-    one block of the flat buffer at a time in ``state``'s work rows, so a
-    block's operations stay in cache; the result is cast back into
-    ``params.flat``. Every operation is element-wise, so the blocks give the
-    same bytes as whole-buffer passes. ``params`` and ``state`` are updated
-    in place. A non-finite gradient raises before anything is written.
+    moment-driven update is subtracted. The arithmetic runs in the dtype of
+    the parameters, one block of the flat buffer at a time, in ``state``'s
+    work rows and straight in ``params.flat``, so a block's operations stay
+    in cache. Every operation is element-wise, so the blocks give the same
+    bytes as whole-buffer passes. ``params`` and ``state`` are updated in
+    place; ``grads`` is only read. A non-finite gradient raises before
+    anything is written.
     """
     if not np.isfinite(grads.flat).all():
         name = next(n for n, arr in grads.tensors() if not np.isfinite(arr).all())
@@ -182,16 +188,16 @@ def adamw_step(
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for start in range(0, params.n_params, _ADAMW_BLOCK):
-        stop = min(start + _ADAMW_BLOCK, params.n_params)
-        m, v = state.m[start:stop], state.v[start:stop]
-        a, b = state.work[:, start:stop]
-        a[...] = grads.flat[start:stop]  # g, widened to float64 exactly
+        block = slice(start, start + _ADAMW_BLOCK)
+        g, p = grads.flat[block], params.flat[block]
+        m, v = state.m[block], state.v[block]
+        a, b = state.work[:, block]
         # m = b1 * m + (1 - b1) * g
         np.multiply(m, b1, out=m)
-        np.multiply(a, 1.0 - b1, out=b)
+        np.multiply(g, 1.0 - b1, out=b)
         np.add(m, b, out=m)
         # v = b2 * v + (1 - b2) * g**2
-        np.square(a, out=a)
+        np.square(g, out=a)
         np.multiply(a, 1.0 - b2, out=a)
         np.multiply(v, b2, out=v)
         np.add(v, a, out=v)
@@ -203,10 +209,8 @@ def adamw_step(
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         # params = params * (1 - lr * weight_decay) - step
-        a[...] = params.flat[start:stop]
-        np.multiply(a, 1.0 - lr * config.weight_decay, out=a)
-        np.subtract(a, b, out=a)
-        params.flat[start:stop] = a
+        np.multiply(p, 1.0 - lr * config.weight_decay, out=p)
+        np.subtract(p, b, out=p)
     state.step_count = t
 
 

@@ -131,6 +131,7 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
     """
     x = _check_input(x)
     n = x.shape[0]
+    check_real("perplexity", perplexity)
     if not 1.0 < perplexity <= n - 1:
         raise ValidationError(
             f"perplexity {perplexity} is infeasible for {n} points "

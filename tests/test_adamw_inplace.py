@@ -1,9 +1,9 @@
 """The in-place AdamW step equals the whole-buffer expression byte for byte.
 
-``reference_step`` is the textbook form, one fresh float64 array per
-operation; ``adamw_step`` computes the same per-element operations in the
-optimizer's work rows, one 65,536-element block at a time, and writes into
-the parameter buffer.
+``reference_step`` is the textbook form, one fresh array per operation in
+the dtype of the parameters; ``adamw_step`` computes the same per-element
+operations in the optimizer's work rows and the parameter buffer, one
+65,536-element block at a time.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ def reference_step(params, grads, m, v, step_count, lr, config):
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    g = grads.astype(np.float64)
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * np.square(g)
-    decayed = params.astype(np.float64) * (1.0 - lr * config.weight_decay)
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * np.square(grads)
+    decayed = params * (1.0 - lr * config.weight_decay)
     step = lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-    return (decayed - step).astype(params.dtype), m, v
+    return decayed - step, m, v
 
 
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -77,8 +76,10 @@ def test_matches_whole_buffer_reference(
 
     for k in range(steps):
         grads.flat[...] = random_buffer(rng, enc.n_params, dtype)
+        given_grads = grads.flat.tobytes()
         ref_p, ref_m, ref_v = reference_step(ref_p, grads.flat, ref_m, ref_v, k, lr, config)
         adamw_step(params, grads, state, lr, config)
+        assert grads.flat.tobytes() == given_grads
         assert params.flat.dtype == dtype
         assert params.flat.tobytes() == ref_p.tobytes()
         assert state.m.tobytes() == ref_m.tobytes()

@@ -153,6 +153,12 @@ class TestSplit:
             with pytest.raises(ValidationError, match="seed"):
                 split(corpus, 0.5, seed=seed)
 
+    def test_fraction_must_be_a_real_number(self):
+        corpus = ParallelCorpus(pairs=[("a", "x"), ("b", "y")])
+        for frac in ("0.5", None, True, float("nan")):
+            with pytest.raises(ValidationError, match="val_fraction"):
+                split(corpus, frac, seed=0)
+
     def test_parts_partition_the_corpus(self):
         rng = np.random.default_rng(3)
         for trial in range(20):

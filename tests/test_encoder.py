@@ -180,6 +180,12 @@ class TestForward:
             with pytest.raises(ValidationError, match="batch_size"):
                 embed(params, tiny_vocab, ["the", "a dog"], max_len=4, batch_size=batch_size)
 
+    def test_embed_max_len_must_be_an_integer(self, tiny_config, tiny_vocab):
+        params = init_params(tiny_config)
+        for max_len in (1.5, True, 0):
+            with pytest.raises(ValidationError, match="max_len"):
+                embed(params, tiny_vocab, ["the cat"], max_len=max_len)
+
     def test_embedding_batch_validation(self):
         with pytest.raises(ValidationError):
             EmbeddingBatch(vectors=np.zeros(4))

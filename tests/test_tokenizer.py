@@ -91,6 +91,11 @@ class TestEncode:
         with pytest.raises(ValidationError):
             encode(tiny_vocab, "x", max_len=0)
 
+    def test_max_len_must_be_an_integer(self, tiny_vocab):
+        for max_len in (1.5, True, "2"):
+            with pytest.raises(ValidationError, match="max_len"):
+                encode(tiny_vocab, "a b", max_len)
+
     def test_batch_shares_layout_and_names_offender(self, tiny_vocab):
         seqs = encode_batch(tiny_vocab, ["the cat", "the"], max_len=4)
         assert seqs == [encode(tiny_vocab, "the cat", 4), encode(tiny_vocab, "the", 4)]

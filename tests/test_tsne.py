@@ -143,6 +143,12 @@ class TestJointProbabilities:
         with pytest.raises(ValidationError, match="perplexity"):
             joint_probabilities(x, perplexity=1.0)
 
+    def test_perplexity_must_be_a_real_number(self):
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        for perplexity in ("2", None, True, float("nan")):
+            with pytest.raises(ValidationError, match="perplexity"):
+                joint_probabilities(x, perplexity)
+
     def test_input_validation(self):
         with pytest.raises(ValidationError, match="at least 3"):
             joint_probabilities(np.ones((2, 2)), perplexity=1.5)
