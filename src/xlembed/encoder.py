@@ -240,13 +240,24 @@ def init_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams
     return params
 
 
+def _mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit, without its dispatch.
+
+    ``np.mean`` divides the sum by the count in float64 and rounds to
+    ``x.dtype``; a division rounded twice that way equals one rounded once.
+    """
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def _layer_norm_forward(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean(x)
     xhat = x - mu
     y = np.multiply(xhat, xhat)
-    inv = y.mean(axis=-1, keepdims=True)
+    inv = _mean(y)
     inv += np.asarray(_LN_EPS, dtype=x.dtype)
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -263,8 +274,8 @@ def _layer_norm_backward(
     xhat, inv = cache
     g = dy * gain
     w = g * xhat
-    m1 = g.mean(axis=-1, keepdims=True)
-    m2 = w.mean(axis=-1, keepdims=True)
+    m1 = _mean(g)
+    m2 = _mean(w)
     dgain += np.multiply(dy, xhat, out=w).sum(axis=0)
     dbias += dy.sum(axis=0)
     g -= m1
@@ -324,6 +335,17 @@ def _gelu_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, t
 
 
+def _gelu_in_place(u: np.ndarray) -> np.ndarray:
+    """Overwrite ``u`` with its GELU and return it, one block of rows at a
+    time like ``_gelu_forward``; ``t`` lives in one block of work rows."""
+    work = np.empty((min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
+    for s in range(0, len(u), _GELU_ROWS):
+        ub = u[s : s + _GELU_ROWS]
+        tb = work[: len(ub)]
+        ub[...] = _gelu(ub, _gelu_tanh(ub, out=tb), out=tb)
+    return u
+
+
 def _gelu_backward(u: np.ndarray, t: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     """Multiply the GELU's derivative into ``d_g`` in place and return the
     GELU itself, one block of rows at a time like ``_gelu_forward``."""
@@ -338,14 +360,24 @@ def _gelu_backward(u: np.ndarray, t: np.ndarray, d_g: np.ndarray) -> np.ndarray:
 
 
 def _block_forward(
-    x: np.ndarray, layer: LayerParams, bounds: Bounds, n_heads: int
-) -> tuple[np.ndarray, tuple]:
+    x: np.ndarray, layer: LayerParams, bounds: Bounds, n_heads: int, keep: bool
+) -> tuple[np.ndarray, tuple | None]:
+    """One pre-norm block on the packed rows ``x``: its output and cache.
+
+    With ``keep``, the cache holds the activations ``_block_backward``
+    reads. Without it the cache is None, and each activation is dropped as
+    soon as the next one exists: one sentence's attention probabilities are
+    held at a time, and the GELU overwrites its input (``_gelu_in_place``),
+    so a call holds about one layer's working set.
+    """
     rows, d = x.shape
     heads = (rows, n_heads, d // n_heads)
     h1, ln1c = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
     # (heads, rows, dh) views of the projections: a sentence is a slice.
     qkv = h1 @ layer.attn_qkv_w
     qkv += layer.attn_qkv_b[:, None]
+    if not keep:
+        del h1, ln1c
     qh, kh, vh = qkv.reshape(3, *heads).transpose(0, 2, 1, 3)
     alpha = np.asarray(1.0 / math.sqrt(heads[2]), dtype=x.dtype)
     ctx = np.zeros(heads, dtype=x.dtype)
@@ -360,21 +392,29 @@ def _block_forward(
         p -= np.fmax.reduce(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        probs.append(p)
+        if keep:
+            probs.append(p)
         ctxh[:, s:e] = p @ vh[:, s:e]
     cat = ctx.reshape(rows, d)
     x1 = cat @ layer.attn_out_w
     x1 += layer.attn_out_b
     x1 += x
+    if not keep:
+        del qkv, qh, kh, vh, p, ctx, ctxh, cat
     h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
     u = h2 @ layer.ffn_in_w
     u += layer.ffn_in_b
-    g, t = _gelu_forward(u)
+    if keep:
+        g, t = _gelu_forward(u)
+    else:
+        del h2, ln2c
+        g = _gelu_in_place(u)
     x2 = g @ layer.ffn_out_w
     x2 += layer.ffn_out_b
     x2 += x1
-    cache = (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t)
-    return x2, cache
+    if not keep:
+        return x2, None
+    return x2, (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t)
 
 
 def _block_backward(
@@ -456,6 +496,19 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     sentence's own rows, so a row does not depend on the rest of its batch
     (the README's Determinism section has the BLAS caveat). Only a batch of
     fewer than ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``).
+    The cache holds every layer's activations, for ``backward``.
+    """
+    embeddings, cache = _encode(params, batch, keep=True)
+    return EmbeddingBatch(vectors=embeddings), cache
+
+
+def _encode(
+    params: EncoderParams, batch: list[list[int]], keep: bool
+) -> tuple[np.ndarray, Cache | None]:
+    """The pass of ``forward``: embeddings, and a cache only with ``keep``.
+
+    ``embed`` runs it without ``keep``, so that no layer's activations
+    outlive the layer (see ``_block_forward``).
     """
     config = params.config
     ids, lengths = _pack(batch, config)
@@ -467,7 +520,7 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
         x[s:e] += params.position_embedding[: e - s]
     layer_caches = []
     for layer in params.layers:
-        x, cache = _block_forward(x, layer, bounds, config.n_heads)
+        x, cache = _block_forward(x, layer, bounds, config.n_heads, keep)
         layer_caches.append(cache)
     xf, lnfc = _layer_norm_forward(x, params.final_gain, params.final_bias)
 
@@ -475,7 +528,7 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     embeddings = np.stack([xf[s:e].sum(axis=0) for s, e in bounds])
     embeddings /= counts[:, None]
 
-    return EmbeddingBatch(vectors=embeddings), Cache(ids, bounds, layer_caches, lnfc)
+    return embeddings, (Cache(ids, bounds, layer_caches, lnfc) if keep else None)
 
 
 def backward(
@@ -524,11 +577,13 @@ def embed(
     max_len: int,
     batch_size: int = 32,
 ) -> EmbeddingBatch:
-    """Encode and embed sentences; caches are discarded.
+    """Encode and embed sentences, building no cache for backward.
 
     Sentences are embedded in input order, in chunks of ``batch_size``.
     Rows are independent of their chunk, so the result is bit-identical to
-    one pass over all texts.
+    one pass over all texts, and to ``forward``'s rows: both run the same
+    layer code, but here each layer's activations are dropped as the pass
+    goes, so a chunk holds about one layer's working set.
     """
     if not texts:
         raise ValidationError("no texts to embed")
@@ -540,7 +595,7 @@ def embed(
     check_count("batch_size", batch_size, 1)
     seqs = encode_batch(vocab, texts, max_len)
     chunks = [
-        forward(params, seqs[start : start + batch_size])[0].vectors
+        _encode(params, seqs[start : start + batch_size], keep=False)[0]
         for start in range(0, len(seqs), batch_size)
     ]
     return EmbeddingBatch(vectors=np.concatenate(chunks))

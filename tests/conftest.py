@@ -1,6 +1,9 @@
-"""Shared fixtures: tiny corpora and model configs used across test modules."""
+"""Shared fixtures: tiny corpora, model configs and a traced-memory probe."""
 
 from __future__ import annotations
+
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -31,6 +34,22 @@ def tiny_config(tiny_vocab) -> EncoderConfig:
     return EncoderConfig(
         vocab_size=tiny_vocab.size, dim=8, n_layers=1, n_heads=2, ffn_mult=2, max_len=6, seed=3
     )
+
+
+@pytest.fixture
+def traced_peak() -> Callable[[Callable[[], object]], int]:
+    """A function that calls ``fn()`` and returns the peak bytes that
+    ``tracemalloc`` saw allocated during the call (NumPy buffers included)."""
+
+    def peak(fn: Callable[[], object]) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 def random_sentences(rng: np.random.Generator, count: int, alphabet: int, lo: int, hi: int):

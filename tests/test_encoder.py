@@ -10,8 +10,10 @@ import pytest
 from xlembed import (
     EmbeddingBatch,
     EncoderConfig,
+    ParallelCorpus,
     ValidationError,
     backward,
+    build_vocab,
     embed,
     encode_batch,
     forward,
@@ -157,6 +159,21 @@ class TestForward:
         a = embed(params, tiny_vocab, ["the cat sat"], max_len=4)
         b = embed(params, tiny_vocab, ["the cat sat"], max_len=4)
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_embed_holds_about_one_layer(self, traced_peak):
+        # embed keeps no activations for backward. At its peak a chunk holds
+        # the block's input, the attention output, the (rows, 4·dim) FFN
+        # activation that the GELU overwrites and the block's output: about
+        # 7 (rows, dim) arrays, 8 as traced. Keeping forward's cache of ~19
+        # such arrays per layer instead peaks at about 43 here.
+        words = [f"w{i}" for i in range(100)]
+        vocab = build_vocab(ParallelCorpus(pairs=[(w, w) for w in words]), side="source")
+        config = EncoderConfig(vocab_size=vocab.size, dim=128, n_layers=2, n_heads=4, max_len=64)
+        params = init_params(config)
+        rng = np.random.default_rng(0)
+        texts = [" ".join(rng.choice(words, size=64)) for _ in range(32)]
+        peak = traced_peak(lambda: embed(params, vocab, texts, 64, batch_size=32))
+        assert peak < 12 * len(texts) * 64 * config.dim * params.dtype.itemsize
 
     def test_input_validation(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)

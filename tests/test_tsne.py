@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -118,7 +117,7 @@ class TestJointProbabilities:
         assert np.abs(ours - theirs).max() / ours.max() <= 0.05
 
     @pytest.mark.parametrize("shift", [0.0, 100.0], ids=["gaussian", "clustered"])
-    def test_peak_memory_stays_under_five_and_a_half_matrices(self, shift):
+    def test_peak_memory_stays_under_five_and_a_half_matrices(self, shift, traced_peak):
         # The search computes in two reused (N, N-1) buffers beside the
         # shifted distances and the result: about 4.3 such matrices at peak,
         # against 6.3 when each step allocated its products afresh. Two
@@ -128,12 +127,7 @@ class TestJointProbabilities:
         n = 400
         x = np.random.default_rng(0).normal(size=(n, 32))
         x[: n // 2] += shift
-        tracemalloc.start()
-        try:
-            joint_probabilities(x, perplexity=30.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: joint_probabilities(x, perplexity=30.0))
         assert peak < 5.5 * n * (n - 1) * 8
 
     def test_infeasible_perplexity(self):
