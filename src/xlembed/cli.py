@@ -27,9 +27,9 @@ from .corpus import (
 from .encoder import EmbeddingBatch, EncoderConfig, embed
 from .errors import ToolkitError, ValidationError
 from .evaluation import (
-    EvalReport, mean_cosine_similarity, paraphrase_accuracy, pearson, spearman, time_inference
+    EvalReport, _paired_cosines, mean_cosine_similarity, paraphrase_accuracy, pearson, spearman,
+    time_inference,
 )
-from .losses import cosine
 from .teacher import TeacherTable, read_teacher_file, toy_teacher, write_teacher_file
 from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 from .trainer import Checkpoint, TrainingConfig, load_checkpoint, save_checkpoint, train
@@ -137,11 +137,12 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _evaluate(args: argparse.Namespace, model: tuple[Checkpoint, Vocab], task: str,
               pairs: list[tuple[str, str]], metrics: Callable[..., dict[str, float]]) -> int:
-    """Embed both sides (timing side A), score them, print and write the report."""
+    """Embed both sides in one timed pass, score them, print and write the report."""
     ckpt, vocab = model
-    max_len = ckpt.config.max_len
-    emb_a, seconds = time_inference(ckpt.params, vocab, [a for a, _ in pairs], max_len)
-    emb_b = embed(ckpt.params, vocab, [b for _, b in pairs], max_len)
+    texts = [a for a, _ in pairs] + [b for _, b in pairs]
+    both, seconds = time_inference(ckpt.params, vocab, texts, ckpt.config.max_len)
+    emb_a = EmbeddingBatch(vectors=both.vectors[: len(pairs)])
+    emb_b = EmbeddingBatch(vectors=both.vectors[len(pairs) :])
     report = EvalReport(task=task, inference_seconds=seconds, n_items=len(pairs),
                         **metrics(emb_a, emb_b))
     print(report.to_json())
@@ -169,7 +170,7 @@ def _cmd_eval_sts(args: argparse.Namespace) -> int:
         raise ValidationError(f"{args.pairs}: no pairs to evaluate")
 
     def correlations(a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
-        cosines = [cosine(u, v) for u, v in zip(a.vectors, b.vectors)]
+        cosines = _paired_cosines(a, b)
         return {
             "pearson_r": pearson(cosines, scored.scores),
             "spearman_rho": spearman(cosines, scored.scores),

@@ -9,9 +9,13 @@ The backward pass is written by hand so gradients are exact, not
 approximated. A batch is packed: the real tokens of all its sentences sit
 back to back as the rows of one ``(rows, dim)`` matrix, and every layer
 works on that matrix. The position-wise layers compute each row from that
-row alone; attention and pooling run on each sentence's own rows. So no
-work is done for padding, and a sentence's embedding does not depend on
-the other sentences of its batch, bit for bit.
+row alone; attention and pooling run on each sentence's own rows, once per
+run of consecutive sentences of one length, whose sentences share stacked
+products and softmax passes. A run's attention scores are stored key-major,
+so the softmax's max and normalizer reduce over the leading axis and the
+normalizer sums each query's terms in key order. So no work is done for
+padding, and a sentence's embedding does not depend on the other sentences
+of its batch or run, bit for bit.
 
 All computation happens in the dtype of the parameter arrays; float32 is
 the default, and tests run the same code in float64 for finite-difference
@@ -24,7 +28,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -45,7 +49,9 @@ _MIN_ROWS = 16
 # cache from one pass to the next.
 _GELU_ROWS = 128
 
-Bounds = list[tuple[int, int]]  # each sentence's (start, end) rows in a packed batch
+# Each run of consecutive equal-length sentences in a packed batch, as
+# (first row, number of sentences, length).
+Runs = list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -166,10 +172,6 @@ class EncoderParams:
     def n_params(self) -> int:
         return self.flat.size
 
-    def map(self, fn: Callable[..., np.ndarray], *others: "EncoderParams") -> "EncoderParams":
-        """Apply fn to the flat buffers of self (and others)."""
-        return EncoderParams(self.config, fn(self.flat, *(o.flat for o in others)))
-
     def zeros_like(self) -> "EncoderParams":
         return EncoderParams(self.config, np.zeros_like(self.flat))
 
@@ -202,14 +204,14 @@ class EmbeddingBatch:
 class Cache:
     """Intermediate activations saved by forward for the backward pass.
 
-    ``ids`` holds the packed token id of each row, and ``bounds`` each
-    sentence's (start, end) rows; a sentence's length is ``end - start``.
-    Rows past the last end are the padding of a batch of fewer than
-    ``_MIN_ROWS`` tokens.
+    ``ids`` holds the packed token id of each row, and ``runs`` the batch's
+    runs of consecutive equal-length sentences as (first row, sentences,
+    length). Rows past the last run are the padding of a batch of fewer
+    than ``_MIN_ROWS`` tokens.
     """
 
     ids: np.ndarray
-    bounds: Bounds
+    runs: Runs
     layer_caches: list[tuple]
     final_norm_cache: tuple
 
@@ -217,7 +219,8 @@ class Cache:
     def mask(self) -> np.ndarray:
         """True on every real row, False on padding: a caller weighs the rows
         a batch cost (``ids.size``) against its real tokens (``mask.sum()``)."""
-        return np.arange(self.ids.size) < self.bounds[-1][1]
+        start, count, length = self.runs[-1]
+        return np.arange(self.ids.size) < start + count * length
 
 
 def init_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams:
@@ -360,68 +363,76 @@ def _gelu_backward(u: np.ndarray, t: np.ndarray, d_g: np.ndarray) -> np.ndarray:
 
 
 def _block_forward(
-    x: np.ndarray, layer: LayerParams, bounds: Bounds, n_heads: int, keep: bool
+    x: np.ndarray, layer: LayerParams, runs: Runs, n_heads: int, keep: bool
 ) -> tuple[np.ndarray, tuple | None]:
     """One pre-norm block on the packed rows ``x``: its output and cache.
 
-    With ``keep``, the cache holds the activations ``_block_backward``
-    reads. Without it the cache is None, and each activation is dropped as
-    soon as the next one exists: one sentence's attention probabilities are
-    held at a time, and the GELU overwrites its input (``_gelu_in_place``),
-    so a call holds about one layer's working set.
+    Attention runs once per run of equal-length sentences: each sentence of
+    the run, head by head, is one matrix of a stacked product. With
+    ``keep``, the cache holds the activations ``_block_backward`` reads.
+    Without it the cache is None, and each activation is dropped as soon as
+    the next one exists: one run's attention probabilities are held at a
+    time, and the GELU overwrites its input (``_gelu_in_place``), so a call
+    holds about one layer's working set.
     """
     rows, d = x.shape
-    heads = (rows, n_heads, d // n_heads)
+    dh = d // n_heads
     h1, ln1c = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
-    # (heads, rows, dh) views of the projections: a sentence is a slice.
-    qkv = h1 @ layer.attn_qkv_w
-    qkv += layer.attn_qkv_b[:, None]
+    # Q, K, V and the attention context, back to back in one buffer, so that
+    # one view per run gives all four as (heads, g, n, dh) blocks.
+    qkvc = np.empty((4, rows, d), dtype=x.dtype)
+    np.matmul(h1, layer.attn_qkv_w, out=qkvc[:3])
+    qkvc[:3] += layer.attn_qkv_b[:, None]
+    cat = qkvc[3]
+    cat.fill(0)
     if not keep:
         del h1, ln1c
-    qh, kh, vh = qkv.reshape(3, *heads).transpose(0, 2, 1, 3)
-    alpha = np.asarray(1.0 / math.sqrt(heads[2]), dtype=x.dtype)
-    ctx = np.zeros(heads, dtype=x.dtype)
-    ctxh = ctx.transpose(1, 0, 2)
+    heads = qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    alpha = np.asarray(1.0 / math.sqrt(dh), dtype=x.dtype)
     probs = []
-    for s, e in bounds:
-        # The softmax of the scaled scores, in the scores' own buffer. A max
-        # is exact in any order, so np.fmax.reduce gives .max()'s bytes
-        # without the method's dispatch.
-        p = qh[:, s:e] @ kh[:, s:e].transpose(0, 2, 1)
+    for s, g, n in runs:
+        run = heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh)
+        # The scores key-major, (keys, heads, g, queries): the softmax's max
+        # and normalizer reduce over the leading axis, in long passes, and
+        # the normalizer sums in key order. A max is exact in any order.
+        p = np.empty((n, n_heads, g, n), dtype=x.dtype)
+        np.matmul(run[1], run[0].swapaxes(2, 3), out=p.transpose(1, 2, 0, 3))
         p *= alpha
-        p -= np.fmax.reduce(p, axis=-1, keepdims=True)
+        m = np.fmax.reduce(p, axis=0)
+        p -= m
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= np.add.reduce(p, axis=0, out=m)
         if keep:
             probs.append(p)
-        ctxh[:, s:e] = p @ vh[:, s:e]
-    cat = ctx.reshape(rows, d)
+        np.matmul(p.transpose(1, 2, 3, 0), run[2], out=run[3])
     x1 = cat @ layer.attn_out_w
     x1 += layer.attn_out_b
     x1 += x
     if not keep:
-        del qkv, qh, kh, vh, p, ctx, ctxh, cat
+        del qkvc, cat, heads, run, p, m
     h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
     u = h2 @ layer.ffn_in_w
     u += layer.ffn_in_b
     if keep:
-        g, t = _gelu_forward(u)
+        act, t = _gelu_forward(u)
     else:
         del h2, ln2c
-        g = _gelu_in_place(u)
-    x2 = g @ layer.ffn_out_w
+        act = _gelu_in_place(u)
+    x2 = act @ layer.ffn_out_w
     x2 += layer.ffn_out_b
     x2 += x1
     if not keep:
         return x2, None
-    return x2, (h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t)
+    return x2, (h1, ln1c, qkvc, alpha, probs, h2, ln2c, u, t)
 
 
 def _block_backward(
-    d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams, bounds: Bounds
+    d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams, runs: Runs
 ) -> np.ndarray:
-    h1, ln1c, qh, kh, vh, alpha, probs, cat, h2, ln2c, u, t = cache
-    n_heads, rows, dh = qh.shape
+    h1, ln1c, qkvc, alpha, probs, h2, ln2c, u, t = cache
+    n_heads = probs[0].shape[1]
+    _, rows, d = qkvc.shape
+    dh = d // n_heads
 
     d_u = d_out @ layer.ffn_out_w.T
     grads.ffn_out_w += _gelu_backward(u, t, d_u).T @ d_out
@@ -433,21 +444,28 @@ def _block_backward(
     )
     d_x1 += d_out
 
-    grads.attn_out_w += cat.T @ d_x1
+    grads.attn_out_w += qkvc[3].T @ d_x1
     grads.attn_out_b += d_x1.sum(axis=0)
-    d_ctxh = (d_x1 @ layer.attn_out_w.T).reshape(rows, n_heads, dh).transpose(1, 0, 2)
-    d_qkv = np.zeros((3, rows, n_heads, dh), dtype=h1.dtype)
-    d_qh, d_kh, d_vh = d_qkv.transpose(0, 2, 1, 3)
-    for p, (s, e) in zip(probs, bounds):
-        d_vh[:, s:e] = p.transpose(0, 2, 1) @ d_ctxh[:, s:e]
-        # The softmax's backward, in the buffer of d_probs.
-        d_scores = d_ctxh[:, s:e] @ vh[:, s:e].transpose(0, 2, 1)
-        d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
+    # Gradients of Q, K, V and the context, laid out like qkvc.
+    d_qkvc = np.zeros((4, rows, d), dtype=h1.dtype)
+    np.matmul(d_x1, layer.attn_out_w.T, out=d_qkvc[3])
+    heads = qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    d_heads = d_qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    for p, (s, g, n) in zip(probs, runs):
+        run = heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh)
+        d_run = d_heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh)
+        p_kq = p.transpose(1, 2, 0, 3)
+        np.matmul(p_kq, d_run[3], out=d_run[2])
+        # The softmax's backward, key-major like p, in the buffer of d_probs.
+        d_scores = np.empty_like(p)
+        d_scores_kq = d_scores.transpose(1, 2, 0, 3)
+        np.matmul(run[2], d_run[3].swapaxes(2, 3), out=d_scores_kq)
+        d_scores -= np.add.reduce(d_scores * p, axis=0)
         d_scores *= p
-        d_qh[:, s:e] = d_scores @ kh[:, s:e]
-        d_kh[:, s:e] = d_scores.transpose(0, 2, 1) @ qh[:, s:e]
+        np.matmul(d_scores.transpose(1, 2, 3, 0), run[1], out=d_run[0])
+        np.matmul(d_scores_kq, run[0], out=d_run[1])
+    d_qkv = d_qkvc[:3]
     d_qkv[:2] *= alpha
-    d_qkv = d_qkv.reshape(3, rows, -1)
     d_h1 = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
     grads.attn_qkv_w += h1.T @ d_qkv
     grads.attn_qkv_b += d_qkv.sum(axis=1)
@@ -456,11 +474,13 @@ def _block_backward(
     return d_x
 
 
-def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, list[int]]:
-    """Concatenate the sentences' token ids; returns (int64 ids, lengths).
+def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, Runs]:
+    """Concatenate the sentences' token ids; returns (int64 ids, runs).
 
-    A batch of fewer than ``_MIN_ROWS`` tokens is padded with ``PAD_ID``
-    rows up to that count, so that no product runs on fewer rows.
+    Each run is a stretch of consecutive sentences of one length, as
+    (first row, number of sentences, length). A batch of fewer than
+    ``_MIN_ROWS`` tokens is padded with ``PAD_ID`` rows up to that count, so
+    that no product runs on fewer rows.
     """
     if not batch:
         raise ValidationError("cannot encode an empty batch")
@@ -484,7 +504,12 @@ def _pack(batch: list[list[int]], config: EncoderConfig) -> tuple[np.ndarray, li
                 raise ValidationError(f"sequence {i}: token id outside [0, {config.vocab_size})")
     ids = np.full(max(flat.size, _MIN_ROWS), PAD_ID, dtype=np.int64)
     ids[: flat.size] = flat
-    return ids, lengths
+    runs, start = [], 0
+    for n, group in itertools.groupby(lengths):
+        g = len(list(group))
+        runs.append((start, g, n))
+        start += g * n
+    return ids, runs
 
 
 def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBatch, Cache]:
@@ -493,10 +518,11 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     The sentences' tokens are packed back to back as the rows of one
     matrix. The position-wise layers (projections, feed-forward, layer
     norms) run on the whole matrix; attention and mean pooling run on each
-    sentence's own rows, so a row does not depend on the rest of its batch
-    (the README's Determinism section has the BLAS caveat). Only a batch of
-    fewer than ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``).
-    The cache holds every layer's activations, for ``backward``.
+    sentence's own rows, once per run of consecutive equal-length sentences,
+    so a row does not depend on the rest of its batch (the README's
+    Determinism section has the BLAS caveat). Only a batch of fewer than
+    ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``). The
+    cache holds every layer's activations, for ``backward``.
     """
     embeddings, cache = _encode(params, batch, keep=True)
     return EmbeddingBatch(vectors=embeddings), cache
@@ -511,24 +537,31 @@ def _encode(
     outlive the layer (see ``_block_forward``).
     """
     config = params.config
-    ids, lengths = _pack(batch, config)
-    ends = list(itertools.accumulate(lengths))
-    bounds = [(e - n, e) for n, e in zip(lengths, ends)]
+    d = config.dim
+    ids, runs = _pack(batch, config)
 
     x = params.token_embedding[ids]
-    for s, e in bounds:
-        x[s:e] += params.position_embedding[: e - s]
+    for s, g, n in runs:
+        run = x[s : s + g * n].reshape(g, n, d)
+        run += params.position_embedding[:n]
+    del run  # a view that would keep this first x alive through every layer
     layer_caches = []
     for layer in params.layers:
-        x, cache = _block_forward(x, layer, bounds, config.n_heads, keep)
+        x, cache = _block_forward(x, layer, runs, config.n_heads, keep)
         layer_caches.append(cache)
     xf, lnfc = _layer_norm_forward(x, params.final_gain, params.final_bias)
 
-    counts = np.array(lengths, dtype=params.dtype)
-    embeddings = np.stack([xf[s:e].sum(axis=0) for s, e in bounds])
-    embeddings /= counts[:, None]
+    # Each sentence's mean row; a sum over the middle axis of a run adds the
+    # rows of each sentence in order, as a sum over one sentence's rows does.
+    embeddings = np.empty((len(batch), d), dtype=params.dtype)
+    i = 0
+    for s, g, n in runs:
+        pooled = embeddings[i : i + g]
+        np.add.reduce(xf[s : s + g * n].reshape(g, n, d), axis=1, out=pooled)
+        pooled /= n
+        i += g
 
-    return embeddings, (Cache(ids, bounds, layer_caches, lnfc) if keep else None)
+    return embeddings, (Cache(ids, runs, layer_caches, lnfc) if keep else None)
 
 
 def backward(
@@ -540,21 +573,21 @@ def backward(
     is zeroed, the gradients are accumulated into it, and it is returned.
     """
     config = params.config
+    d = config.dim
     grad_output = np.asarray(grad_output, dtype=params.dtype)
-    if grad_output.shape != (len(cache.bounds), config.dim):
+    lengths = [n for _, g, n in cache.runs for _ in range(g)]
+    if grad_output.shape != (len(lengths), d):
         raise ValidationError(
             f"grad_output shape {grad_output.shape} does not match "
-            f"(batch, dim) = ({len(cache.bounds)}, {config.dim})"
+            f"(batch, dim) = ({len(lengths)}, {d})"
         )
     if grads.config != config or grads.dtype != params.dtype:
         raise ValidationError("grads must have the config and dtype of params")
     grads.flat.fill(0)
 
-    counts = np.array([e - s for s, e in cache.bounds], dtype=params.dtype)
-    d_pooled = grad_output / counts[:, None]
-    d_xf = np.zeros((cache.ids.size, config.dim), dtype=params.dtype)
-    for row, (s, e) in zip(d_pooled, cache.bounds):
-        d_xf[s:e] = row
+    d_pooled = grad_output / np.array(lengths, dtype=params.dtype)[:, None]
+    d_xf = np.zeros((cache.ids.size, d), dtype=params.dtype)
+    d_xf[: sum(lengths)] = np.repeat(d_pooled, lengths, axis=0)
     d_x = _layer_norm_backward(
         d_xf, params.final_gain, cache.final_norm_cache, grads.final_gain, grads.final_bias
     )
@@ -562,12 +595,30 @@ def backward(
     for layer, layer_grads, layer_cache in zip(
         reversed(params.layers), reversed(grads.layers), reversed(cache.layer_caches)
     ):
-        d_x = _block_backward(d_x, layer, layer_cache, layer_grads, cache.bounds)
+        d_x = _block_backward(d_x, layer, layer_cache, layer_grads, cache.runs)
 
     np.add.at(grads.token_embedding, cache.ids, d_x)
-    for s, e in cache.bounds:
-        grads.position_embedding[: e - s] += d_x[s:e]
+    for s, g, n in cache.runs:
+        for start in range(s, s + g * n, n):
+            grads.position_embedding[:n] += d_x[start : start + n]
     return grads
+
+
+def _chunk_starts(lengths: list[int], chunks: int) -> list[int]:
+    """Cut sentences of these lengths, in order, into ``chunks`` non-empty
+    chunks of near-equal row counts; returns each chunk's first sentence and
+    then the count of sentences.
+
+    Chunk ``c`` ends at the first sentence whose end reaches ``(c+1)/chunks``
+    of the rows, so no chunk has more than ``rows/chunks + max(lengths)``.
+    """
+    ends = np.cumsum(lengths)
+    cuts = np.searchsorted(ends * chunks, ends[-1] * np.arange(1, chunks)) + 1
+    starts = [0]
+    for c, cut in enumerate(cuts.tolist(), 1):
+        # Each chunk keeps at least one sentence and leaves one for each later chunk.
+        starts.append(min(max(cut, starts[-1] + 1), len(lengths) - chunks + c))
+    return starts + [len(lengths)]
 
 
 def embed(
@@ -579,11 +630,13 @@ def embed(
 ) -> EmbeddingBatch:
     """Encode and embed sentences, building no cache for backward.
 
-    Sentences are embedded in input order, in chunks of ``batch_size``.
-    Rows are independent of their chunk, so the result is bit-identical to
-    one pass over all texts, and to ``forward``'s rows: both run the same
-    layer code, but here each layer's activations are dropped as the pass
-    goes, so a chunk holds about one layer's working set.
+    The texts are sorted by token count (stably) and cut into
+    ``ceil(len(texts) / batch_size)`` chunks of near-equal row counts, so
+    that equal-length sentences meet in runs; the rows come back in input
+    order. Rows are independent of their chunk, run and order, so the result
+    is bit-identical to one pass over all texts, and to ``forward``'s rows:
+    both run the same layer code, but here each layer's activations are
+    dropped as the pass goes, so a chunk holds about one layer's working set.
     """
     if not texts:
         raise ValidationError("no texts to embed")
@@ -594,8 +647,11 @@ def embed(
         )
     check_count("batch_size", batch_size, 1)
     seqs = encode_batch(vocab, texts, max_len)
-    chunks = [
-        _encode(params, seqs[start : start + batch_size], keep=False)[0]
-        for start in range(0, len(seqs), batch_size)
-    ]
-    return EmbeddingBatch(vectors=np.concatenate(chunks))
+    lengths = [len(seq) for seq in seqs]
+    order = sorted(range(len(seqs)), key=lengths.__getitem__)
+    starts = _chunk_starts([lengths[i] for i in order], -(-len(seqs) // batch_size))
+    vectors = np.empty((len(seqs), params.config.dim), dtype=params.dtype)
+    for start, end in zip(starts, starts[1:]):
+        chunk = order[start:end]
+        vectors[chunk] = _encode(params, [seqs[i] for i in chunk], keep=False)[0]
+    return EmbeddingBatch(vectors=vectors)

@@ -21,10 +21,13 @@ from xlembed import (
     ToolkitError,
     TrainingConfig,
     TsneConfig,
+    cosine,
     embed,
     load_checkpoint,
     load_vocab,
+    pearson,
     read_teacher_file,
+    spearman,
     write_teacher_file,
 )
 from xlembed.cli import dispatch
@@ -177,6 +180,44 @@ class TestEvalCommands:
         assert record["n_items"] == 4
         assert -1.0 <= record["pearson_r"] <= 1.0
         assert -1.0 <= record["spearman_rho"] <= 1.0
+
+    def test_one_timed_pass_embeds_both_sides(self, workdir, tmp_path, capsys, monkeypatch):
+        # inference_seconds times every text behind the metrics; the rows of
+        # the joint pass equal each side embedded on its own.
+        rows = [
+            ("the cat sat on the mat", "a dog ran in the park", 1.0),
+            ("birds sing in the morning", "the sun is warm today", 3.0),
+            ("rain fell all night", "she cooks rice and beans tonight", 2.5),
+        ]
+        pairs = tmp_path / "sts.tsv"
+        pairs.write_text("".join(f"{a}\t{b}\t{s}\n" for a, b, s in rows), encoding="utf-8")
+        timed = []
+        time_inference = xlembed.cli.time_inference
+
+        def recording(params, vocab, texts, max_len):
+            timed.append(list(texts))
+            return time_inference(params, vocab, texts, max_len)
+
+        monkeypatch.setattr(xlembed.cli, "time_inference", recording)
+        monkeypatch.setattr(xlembed.cli, "embed", None)  # an untimed embed would fail
+        code = dispatch([
+            "eval-sts", "--ckpt", str(workdir["ckpt"]), "--vocab", str(workdir["vocab"]),
+            "--pairs", str(pairs),
+        ])
+        assert code == 0
+        assert timed == [[a for a, _, _ in rows] + [b for _, b, _ in rows]]
+
+        record = json.loads(capsys.readouterr().out.strip())
+        ckpt = load_checkpoint(workdir["ckpt"])
+        vocab = load_vocab(workdir["vocab"])
+        a, b = (
+            embed(ckpt.params, vocab, [row[side] for row in rows], ckpt.config.max_len).vectors
+            for side in (0, 1)
+        )
+        cosines = [cosine(u, v) for u, v in zip(a, b)]
+        scores = [s for _, _, s in rows]
+        assert record["pearson_r"] == pearson(cosines, scores)
+        assert record["spearman_rho"] == spearman(cosines, scores)
 
     def test_wrong_label_count_fails_cleanly(self, workdir, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"

@@ -10,6 +10,7 @@ import pytest
 from xlembed import (
     EmbeddingBatch,
     EncoderConfig,
+    EncoderParams,
     ParallelCorpus,
     ValidationError,
     backward,
@@ -220,10 +221,10 @@ class TestBackward:
         weights = rng.normal(size=(3, tiny_config.dim))
         _, grads = loss_and_grads(params, batch, weights)
 
-        direction = params.map(lambda a: rng.normal(size=a.shape))
+        direction = EncoderParams(params.config, rng.normal(size=params.n_params))
         eps = 1e-6
-        plus = params.map(lambda p, d: p + eps * d, direction)
-        minus = params.map(lambda p, d: p - eps * d, direction)
+        plus = EncoderParams(params.config, params.flat + eps * direction.flat)
+        minus = EncoderParams(params.config, params.flat - eps * direction.flat)
         fd = (
             loss_and_grads(plus, batch, weights)[0]
             - loss_and_grads(minus, batch, weights)[0]
@@ -267,7 +268,7 @@ class TestBackward:
         _, cache = forward(params, batch)
         weights = np.ones((2, tiny_config.dim))
         fresh = backward(params, cache, weights, params.zeros_like())
-        dirty = params.map(lambda a: np.full_like(a, np.nan))
+        dirty = EncoderParams(params.config, np.full_like(params.flat, np.nan))
         assert backward(params, cache, weights, dirty) is dirty
         assert dirty.flat.tobytes() == fresh.flat.tobytes()
         wider = dataclasses.replace(tiny_config, vocab_size=tiny_config.vocab_size + 1)

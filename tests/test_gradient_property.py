@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from xlembed import (
     EmbeddingBatch,
     EncoderConfig,
+    EncoderParams,
     TrainingConfig,
     backward,
     forward,
@@ -75,9 +76,8 @@ def test_gradients_match_central_differences(case, seed):
     rng = np.random.default_rng(seed)
     # Perturb the initial weights so that biases and gains are not at their
     # zeros and ones, which would hide terms of their gradients.
-    params = init_params(config, dtype=np.float64).map(
-        lambda a: a + rng.normal(scale=0.3, size=a.shape)
-    )
+    params = init_params(config, dtype=np.float64)
+    params = EncoderParams(config, params.flat + rng.normal(scale=0.3, size=params.n_params))
     teacher = EmbeddingBatch(vectors=rng.normal(size=(len(batch), config.dim)))
 
     result, cache = objective(params, batch, teacher, loss)
@@ -86,7 +86,8 @@ def test_gradients_match_central_differences(case, seed):
     direction = rng.normal(size=params.n_params)
 
     def along(h):
-        return objective(params.map(lambda p: p + h * direction), batch, teacher, loss)[0].value
+        moved = EncoderParams(config, params.flat + h * direction)
+        return objective(moved, batch, teacher, loss)[0].value
 
     numeric = (8 * (along(EPS) - along(-EPS)) - (along(2 * EPS) - along(-2 * EPS))) / (12 * EPS)
     analytic = float(grads.flat @ direction)

@@ -73,13 +73,13 @@ def assert_rows_equal_alone(params, texts, longest):
     for i, seq in enumerate(batch[:-1]):
         alone = forward(params, [seq])[0].vectors[0]
         assert together.vectors[i].tobytes() == alone.tobytes(), texts[i]
-    # Attention runs on each sentence's own tokens: every layer caches one
-    # (heads, n, n) probability block per sentence of n tokens.
+    # Attention runs on each sentence's own tokens: every layer caches
+    # n_heads · n² probabilities for each sentence of n tokens.
     for layer_cache in cache.layer_caches:
-        probs = layer_cache[6]
-        assert [p.shape for p in probs] == [
-            (params.config.n_heads, len(seq), len(seq)) for seq in batch
-        ]
+        probs = layer_cache[4]
+        assert sum(p.size for p in probs) == params.config.n_heads * sum(
+            len(seq) ** 2 for seq in batch
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 from xlembed import (
     Checkpoint,
     EmbeddingBatch,
+    EncoderParams,
     FormatError,
     OptimizerState,
     ParallelCorpus,
@@ -89,7 +90,7 @@ class TestAdamW:
         # With zeroed moments, bias correction makes the very first update
         # lr * g / (|g| + eps); for g = 1 that is lr to within eps.
         params = init_params(tiny_config)
-        grads = params.map(lambda a: np.ones_like(a))
+        grads = EncoderParams(params.config, np.ones_like(params.flat))
         state = OptimizerState.zeros(params)
         config = quick_config(base_lr=0.1, weight_decay=0.0)
         adamw_step(params, grads, state, 0.1, config)
@@ -100,7 +101,7 @@ class TestAdamW:
 
     def test_two_constant_steps_accumulate(self, tiny_config):
         params = init_params(tiny_config)
-        grads = params.map(lambda a: np.ones_like(a))
+        grads = EncoderParams(params.config, np.ones_like(params.flat))
         state = OptimizerState.zeros(params)
         config = quick_config(base_lr=0.1, weight_decay=0.0)
         adamw_step(params, grads, state, 0.1, config)
@@ -125,7 +126,7 @@ class TestAdamW:
     def test_zero_lr_is_identity(self, tiny_config):
         params = init_params(tiny_config)
         before = params.flat.copy()
-        grads = params.map(lambda a: np.ones_like(a))
+        grads = EncoderParams(params.config, np.ones_like(params.flat))
         state = OptimizerState.zeros(params)
         adamw_step(params, grads, state, 0.0, quick_config())
         assert params.flat.tobytes() == before.tobytes()
@@ -135,7 +136,8 @@ class TestAdamW:
             params = init_params(tiny_config, dtype)
             state = OptimizerState.zeros(params)
             assert state.m.dtype == state.v.dtype == state.work.dtype == dtype
-            adamw_step(params, params.map(np.ones_like), state, 1e-3, quick_config())
+            grads = EncoderParams(params.config, np.ones_like(params.flat))
+            adamw_step(params, grads, state, 1e-3, quick_config())
             assert params.dtype == dtype
             assert state.m.dtype == state.v.dtype == state.work.dtype == dtype
 
