@@ -28,7 +28,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -200,19 +200,42 @@ class EmbeddingBatch:
         return int(self.vectors.shape[1])
 
 
+class LayerCache(NamedTuple):
+    """What ``_block_backward`` reads of one block's forward pass.
+
+    ``ln1`` and ``ln2`` are the layer norms' ``(xhat, inv)``, ``qkvc`` the
+    Q, K, V and attention context rows, ``alpha`` the score scale, ``probs``
+    each run's key-major attention probabilities and ``u`` the GELU's
+    pre-activation. The layer norms' outputs and the GELU's ``t`` are not
+    kept: backward recomputes them, bit for bit, with the calls that first
+    made them.
+    """
+
+    ln1: tuple[np.ndarray, np.ndarray]
+    qkvc: np.ndarray
+    alpha: np.ndarray
+    probs: list[np.ndarray]
+    ln2: tuple[np.ndarray, np.ndarray]
+    u: np.ndarray
+
+
 @dataclass
 class Cache:
-    """Intermediate activations saved by forward for the backward pass.
+    """The activations forward saves for the backward pass.
 
-    ``ids`` holds the packed token id of each row, and ``runs`` the batch's
-    runs of consecutive equal-length sentences as (first row, sentences,
-    length). Rows past the last run are the padding of a batch of fewer
-    than ``_MIN_ROWS`` tokens.
+    ``layer_caches`` holds one ``LayerCache`` per block, and
+    ``final_norm_cache`` the closing layer norm's ``(xhat, inv)``, so only
+    what backward cannot recompute bit for bit is kept: at ``ffn_mult`` 4,
+    about 10 ``(rows, dim)`` arrays per block besides the attention
+    probabilities. ``ids`` holds the packed token id of each row, and
+    ``runs`` the batch's runs of consecutive equal-length sentences as
+    (first row, sentences, length). Rows past the last run are the padding
+    of a batch of fewer than ``_MIN_ROWS`` tokens.
     """
 
     ids: np.ndarray
     runs: Runs
-    layer_caches: list[tuple]
+    layer_caches: list[LayerCache]
     final_norm_cache: tuple
 
     @property
@@ -254,6 +277,16 @@ def _mean(x: np.ndarray) -> np.ndarray:
     return m
 
 
+def _norm_output(
+    xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """A layer norm's output from its normalized rows ``xhat``: forward
+    computes it with this, and backward recomputes it, bit for bit."""
+    y = np.multiply(xhat, gain, out=out)
+    y += bias
+    return y
+
+
 def _layer_norm_forward(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
@@ -265,9 +298,7 @@ def _layer_norm_forward(
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gain, out=y)
-    y += bias
-    return y, (xhat, inv)
+    return _norm_output(xhat, gain, bias, out=y), (xhat, inv)
 
 
 def _layer_norm_backward(
@@ -328,56 +359,49 @@ def _gelu_grad(
     return w
 
 
-def _gelu_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The GELU of ``u`` and its term ``t = _gelu_tanh(u)``, computed one
-    block of rows at a time so that each block's passes stay in cache."""
-    g, t = np.empty_like(u), np.empty_like(u)
-    for s in range(0, len(u), _GELU_ROWS):
-        rows = slice(s, s + _GELU_ROWS)
-        _gelu(u[rows], _gelu_tanh(u[rows], out=t[rows]), out=g[rows])
-    return g, t
-
-
-def _gelu_in_place(u: np.ndarray) -> np.ndarray:
-    """Overwrite ``u`` with its GELU and return it, one block of rows at a
-    time like ``_gelu_forward``; ``t`` lives in one block of work rows."""
+def _gelu_blocks(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the GELU of ``u`` into ``out`` and return it, one block of rows
+    at a time so that each block's passes stay in cache; ``t`` lives in one
+    block of work rows. ``out`` may be ``u`` itself."""
     work = np.empty((min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
     for s in range(0, len(u), _GELU_ROWS):
         ub = u[s : s + _GELU_ROWS]
         tb = work[: len(ub)]
-        ub[...] = _gelu(ub, _gelu_tanh(ub, out=tb), out=tb)
-    return u
+        out[s : s + _GELU_ROWS] = _gelu(ub, _gelu_tanh(ub, out=tb), out=tb)
+    return out
 
 
-def _gelu_backward(u: np.ndarray, t: np.ndarray, d_g: np.ndarray) -> np.ndarray:
+def _gelu_backward(u: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     """Multiply the GELU's derivative into ``d_g`` in place and return the
-    GELU itself, one block of rows at a time like ``_gelu_forward``."""
+    GELU itself, one block of rows at a time like ``_gelu_blocks``: each
+    block's ``t`` is recomputed, bit for bit, in a block of work rows."""
     g = np.empty_like(u)
-    work = np.empty((2, min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
+    work = np.empty((3, min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
     for s in range(0, len(u), _GELU_ROWS):
         rows = slice(s, s + _GELU_ROWS)
-        ub, tb, db = u[rows], t[rows], d_g[rows]
-        _gelu(ub, tb, out=g[rows])
-        db *= _gelu_grad(ub, tb, *work[:, : len(ub)])
+        ub, db = u[rows], d_g[rows]
+        tb, w1, w2 = work[:, : len(ub)]
+        _gelu(ub, _gelu_tanh(ub, out=tb), out=g[rows])
+        db *= _gelu_grad(ub, tb, w1, w2)
     return g
 
 
 def _block_forward(
     x: np.ndarray, layer: LayerParams, runs: Runs, n_heads: int, keep: bool
-) -> tuple[np.ndarray, tuple | None]:
+) -> tuple[np.ndarray, LayerCache | None]:
     """One pre-norm block on the packed rows ``x``: its output and cache.
 
     Attention runs once per run of equal-length sentences: each sentence of
     the run, head by head, is one matrix of a stacked product. With
-    ``keep``, the cache holds the activations ``_block_backward`` reads.
-    Without it the cache is None, and each activation is dropped as soon as
-    the next one exists: one run's attention probabilities are held at a
-    time, and the GELU overwrites its input (``_gelu_in_place``), so a call
-    holds about one layer's working set.
+    ``keep``, the cache holds only what ``_block_backward`` cannot recompute
+    bit for bit (see ``LayerCache``). Without it the cache is None, and each
+    activation is dropped as soon as the next one exists: one run's
+    attention probabilities are held at a time, and the GELU overwrites its
+    input, so a call holds about one layer's working set.
     """
     rows, d = x.shape
     dh = d // n_heads
-    h1, ln1c = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
+    h1, ln1 = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
     # Q, K, V and the attention context, back to back in one buffer, so that
     # one view per run gives all four as (heads, g, n, dh) blocks.
     qkvc = np.empty((4, rows, d), dtype=x.dtype)
@@ -385,8 +409,9 @@ def _block_forward(
     qkvc[:3] += layer.attn_qkv_b[:, None]
     cat = qkvc[3]
     cat.fill(0)
+    del h1
     if not keep:
-        del h1, ln1c
+        del ln1
     heads = qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
     alpha = np.asarray(1.0 / math.sqrt(dh), dtype=x.dtype)
     probs = []
@@ -410,44 +435,43 @@ def _block_forward(
     x1 += x
     if not keep:
         del qkvc, cat, heads, run, p, m
-    h2, ln2c = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
+    h2, ln2 = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
     u = h2 @ layer.ffn_in_w
     u += layer.ffn_in_b
-    if keep:
-        act, t = _gelu_forward(u)
-    else:
-        del h2, ln2c
-        act = _gelu_in_place(u)
+    del h2
+    if not keep:
+        del ln2
+    act = _gelu_blocks(u, np.empty_like(u) if keep else u)
     x2 = act @ layer.ffn_out_w
     x2 += layer.ffn_out_b
     x2 += x1
     if not keep:
         return x2, None
-    return x2, (h1, ln1c, qkvc, alpha, probs, h2, ln2c, u, t)
+    return x2, LayerCache(ln1, qkvc, alpha, probs, ln2, u)
 
 
 def _block_backward(
-    d_out: np.ndarray, layer: LayerParams, cache: tuple, grads: LayerParams, runs: Runs
+    d_out: np.ndarray, layer: LayerParams, cache: LayerCache, grads: LayerParams, runs: Runs
 ) -> np.ndarray:
-    h1, ln1c, qkvc, alpha, probs, h2, ln2c, u, t = cache
+    qkvc, probs = cache.qkvc, cache.probs
     n_heads = probs[0].shape[1]
     _, rows, d = qkvc.shape
     dh = d // n_heads
 
     d_u = d_out @ layer.ffn_out_w.T
-    grads.ffn_out_w += _gelu_backward(u, t, d_u).T @ d_out
+    grads.ffn_out_w += _gelu_backward(cache.u, d_u).T @ d_out
     grads.ffn_out_b += d_out.sum(axis=0)
-    grads.ffn_in_w += h2.T @ d_u
+    grads.ffn_in_w += _norm_output(cache.ln2[0], layer.norm2_gain, layer.norm2_bias).T @ d_u
     grads.ffn_in_b += d_u.sum(axis=0)
     d_x1 = _layer_norm_backward(
-        d_u @ layer.ffn_in_w.T, layer.norm2_gain, ln2c, grads.norm2_gain, grads.norm2_bias
+        d_u @ layer.ffn_in_w.T, layer.norm2_gain, cache.ln2, grads.norm2_gain, grads.norm2_bias
     )
     d_x1 += d_out
 
     grads.attn_out_w += qkvc[3].T @ d_x1
     grads.attn_out_b += d_x1.sum(axis=0)
     # Gradients of Q, K, V and the context, laid out like qkvc.
-    d_qkvc = np.zeros((4, rows, d), dtype=h1.dtype)
+    d_qkvc = np.zeros((4, rows, d), dtype=d_out.dtype)
     np.matmul(d_x1, layer.attn_out_w.T, out=d_qkvc[3])
     heads = qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
     d_heads = d_qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
@@ -465,11 +489,13 @@ def _block_backward(
         np.matmul(d_scores.transpose(1, 2, 3, 0), run[1], out=d_run[0])
         np.matmul(d_scores_kq, run[0], out=d_run[1])
     d_qkv = d_qkvc[:3]
-    d_qkv[:2] *= alpha
+    d_qkv[:2] *= cache.alpha
     d_h1 = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
-    grads.attn_qkv_w += h1.T @ d_qkv
+    grads.attn_qkv_w += _norm_output(cache.ln1[0], layer.norm1_gain, layer.norm1_bias).T @ d_qkv
     grads.attn_qkv_b += d_qkv.sum(axis=1)
-    d_x = _layer_norm_backward(d_h1, layer.norm1_gain, ln1c, grads.norm1_gain, grads.norm1_bias)
+    d_x = _layer_norm_backward(
+        d_h1, layer.norm1_gain, cache.ln1, grads.norm1_gain, grads.norm1_bias
+    )
     d_x += d_x1
     return d_x
 
@@ -522,7 +548,9 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     so a row does not depend on the rest of its batch (the README's
     Determinism section has the BLAS caveat). Only a batch of fewer than
     ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``). The
-    cache holds every layer's activations, for ``backward``.
+    cache holds what ``backward`` reads of every layer, less what it
+    recomputes bit for bit: the layer norms' outputs and the GELU's tanh
+    term (see ``LayerCache``).
     """
     embeddings, cache = _encode(params, batch, keep=True)
     return EmbeddingBatch(vectors=embeddings), cache

@@ -165,8 +165,8 @@ class TestForward:
         # embed keeps no activations for backward. At its peak a chunk holds
         # the block's input, the attention output, the (rows, 4·dim) FFN
         # activation that the GELU overwrites and the block's output: about
-        # 7 (rows, dim) arrays, 8 as traced. Keeping forward's cache of ~19
-        # such arrays per layer instead peaks at about 43 here.
+        # 7 (rows, dim) arrays, 8 as traced. Keeping forward's cache of ~10
+        # such arrays per layer instead peaks at about 31 here.
         words = [f"w{i}" for i in range(100)]
         vocab = build_vocab(ParallelCorpus(pairs=[(w, w) for w in words]), side="source")
         config = EncoderConfig(vocab_size=vocab.size, dim=128, n_layers=2, n_heads=4, max_len=64)

@@ -50,13 +50,18 @@ def encoder_cases(draw):
         seed=draw(st.integers(0, 2**16)),
     )
     loss = draw(st.sampled_from(["mse", "mnr"]))
-    # Real token ids only: the tokenizer never emits PAD_ID for a word.
+    # The ranking loss needs in-batch negatives, as train's batches have.
+    batch = draw(batches(config, min_size=2 if loss == "mnr" else 1))
+    return config, loss, batch
+
+
+def batches(config, min_size=1):
+    """Batches of up to 5 sentences of real token ids: the tokenizer never
+    emits PAD_ID for a word."""
     sentence = st.lists(
         st.integers(PAD_ID + 1, config.vocab_size - 1), min_size=1, max_size=config.max_len
     )
-    # The ranking loss needs in-batch negatives, as train's batches have.
-    batch = draw(st.lists(sentence, min_size=2 if loss == "mnr" else 1, max_size=5))
-    return config, loss, batch
+    return st.lists(sentence, min_size=min_size, max_size=5)
 
 
 def objective(params, batch, teacher, loss):
@@ -98,3 +103,20 @@ def test_gradients_match_central_differences(case, seed):
     used[np.concatenate(batch)] = True
     assert not grads.token_embedding[~used].any()
     assert not grads.position_embedding[max(map(len, batch)) :].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=encoder_cases(), data=st.data())
+def test_backward_reads_only_its_own_cache(case, data):
+    # backward recomputes activations that forward did not cache. It must
+    # rebuild them from its own cache alone: a forward of another batch in
+    # between leaves its gradients unchanged, bit for bit.
+    config, _, batch = case
+    other = data.draw(batches(config), label="other")
+    params = init_params(config)
+    grad_output = np.random.default_rng(config.seed).normal(size=(len(batch), config.dim))
+    _, cache = forward(params, batch)
+    alone = backward(params, cache, grad_output, params.zeros_like()).flat.tobytes()
+    _, cache = forward(params, batch)
+    forward(params, other)
+    assert backward(params, cache, grad_output, params.zeros_like()).flat.tobytes() == alone

@@ -76,7 +76,7 @@ def assert_rows_equal_alone(params, texts, longest):
     # Attention runs on each sentence's own tokens: every layer caches
     # n_heads · n² probabilities for each sentence of n tokens.
     for layer_cache in cache.layer_caches:
-        probs = layer_cache[4]
+        probs = layer_cache.probs
         assert sum(p.size for p in probs) == params.config.n_heads * sum(
             len(seq) ** 2 for seq in batch
         )

@@ -15,6 +15,7 @@ import pytest
 from xlembed import (
     Checkpoint,
     EmbeddingBatch,
+    EncoderConfig,
     EncoderParams,
     FormatError,
     OptimizerState,
@@ -24,6 +25,7 @@ from xlembed import (
     ValidationError,
     adamw_step,
     backward,
+    build_vocab,
     embed,
     init_params,
     load_checkpoint,
@@ -308,6 +310,28 @@ class TestTrain:
         for _, flat, call_grads in calls:
             assert flat is trained and call_grads is grads
         assert ckpt.params.flat.tobytes() == trained.tobytes()
+
+    def test_holds_one_steps_activations(self, traced_peak):
+        # Weights, gradients and AdamW's four rows are 6·n_params floats. A
+        # step's cache keeps about 10 (rows, dim) arrays per layer besides
+        # the attention probabilities; backward and the next forward add a
+        # few more. Keeping the layer norms' outputs and the GELU's tanh
+        # term as well peaks at about 54 such arrays, and holding the last
+        # step's cache through the next forward at about 80.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(100)]
+        corpus = ParallelCorpus(
+            pairs=[(" ".join(rng.choice(words, size=64)), "x") for _ in range(64)]
+        )
+        vocab = build_vocab(corpus, side="source")
+        config = EncoderConfig(vocab_size=vocab.size, dim=128, n_layers=2, n_heads=4, max_len=64)
+        rows = rng.normal(size=(64, config.dim)).astype(np.float32)
+        teacher = TeacherTable(embeddings=EmbeddingBatch(vectors=rows))
+        train_config = TrainingConfig(loss="mnr", epochs=1, batch_size=32, max_len=64)
+        train(corpus, teacher, vocab, config, train_config)
+        peak = traced_peak(lambda: train(corpus, teacher, vocab, config, train_config))
+        itemsize = np.dtype(np.float32).itemsize
+        assert peak < (6 * config.n_params + 48 * 32 * 64 * config.dim) * itemsize
 
     def test_alignment_validation(self, tiny_corpus, tiny_vocab, tiny_config, random_teacher):
         short = TeacherTable(
