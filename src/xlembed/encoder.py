@@ -32,6 +32,7 @@ from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
+from . import _malloc
 from .errors import ValidationError, check_count
 from .tokenizer import PAD_ID, Vocab, encode_batch
 
@@ -665,6 +666,8 @@ def embed(
     is bit-identical to one pass over all texts, and to ``forward``'s rows:
     both run the same layer code, but here each layer's activations are
     dropped as the pass goes, so a chunk holds about one layer's working set.
+    The first call in a process fixes glibc's heap thresholds, so that the
+    next chunk and call reuse the freed pages (see ``_malloc``).
     """
     if not texts:
         raise ValidationError("no texts to embed")
@@ -674,6 +677,7 @@ def embed(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
         )
     check_count("batch_size", batch_size, 1)
+    _malloc.fix_thresholds()
     seqs = encode_batch(vocab, texts, max_len)
     lengths = [len(seq) for seq in seqs]
     order = sorted(range(len(seqs)), key=lengths.__getitem__)

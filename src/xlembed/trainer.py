@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from . import _malloc
 from .corpus import ParallelCorpus
 from .encoder import (
     EmbeddingBatch,
@@ -98,9 +99,10 @@ class OptimizerState:
     """AdamW's first and second moment estimates ``m`` and ``v``, two work
     rows that ``adamw_step`` computes in, and the step counter.
 
-    ``m``, ``v`` and the rows of ``work`` are flat arrays in the dtype of
-    the parameters and laid out like ``EncoderParams.flat``; they are the
-    four rows of one buffer.
+    ``m`` and ``v`` are flat arrays in the dtype of the parameters and laid
+    out like ``EncoderParams.flat``. ``work`` holds two rows of that dtype,
+    each as long as one block of ``adamw_step`` (or the whole buffer, when
+    it is shorter).
     """
 
     m: np.ndarray
@@ -110,16 +112,11 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, params: EncoderParams) -> "OptimizerState":
-        # One buffer, not three arrays: with separate ones the heap kept fewer
-        # of the pages that train() had touched, and an embed() call after it
-        # took more page faults (about 2,650 against 900-1,600 at the
-        # benchmark's dim-32 size) and ran slower. The work rows are
-        # full-length, although adamw_step computes in one block of them at
-        # a time: freeing rows of one block's length after each train()
-        # lowered glibc's dynamic mmap threshold, and a following embed() ran
-        # ~14% slower on its freshly mapped activations.
-        buffer = np.zeros((4, params.n_params), dtype=params.dtype)
-        return cls(m=buffer[0], v=buffer[1], work=buffer[2:])
+        return cls(
+            m=np.zeros(params.n_params, dtype=params.dtype),
+            v=np.zeros(params.n_params, dtype=params.dtype),
+            work=np.empty((2, min(params.n_params, _ADAMW_BLOCK)), dtype=params.dtype),
+        )
 
 
 @dataclass
@@ -174,10 +171,11 @@ def adamw_step(
     Decay multiplies parameters by (1 - lr * weight_decay) before the
     moment-driven update is subtracted. The arithmetic runs in the dtype of
     the parameters, one block of the flat buffer at a time, in ``state``'s
-    work rows and straight in ``params.flat``, so a block's operations stay
-    in cache. Every operation is element-wise, so the blocks give the same
-    bytes as whole-buffer passes. ``params`` and ``state`` are updated in
-    place; ``grads`` is only read. A non-finite gradient raises before
+    two block-long work rows (their first ``len(block)`` columns) and
+    straight in ``params.flat``, so a block's operations stay in cache.
+    Every operation is element-wise, so the blocks give the same bytes as
+    whole-buffer passes. ``params`` and ``state`` are updated in place;
+    ``grads`` is only read. A non-finite gradient raises before
     anything is written.
     """
     if not np.isfinite(grads.flat).all():
@@ -191,7 +189,7 @@ def adamw_step(
         block = slice(start, start + _ADAMW_BLOCK)
         g, p = grads.flat[block], params.flat[block]
         m, v = state.m[block], state.v[block]
-        a, b = state.work[:, block]
+        a, b = state.work[:, : g.size]
         # m = b1 * m + (1 - b1) * g
         np.multiply(m, b1, out=m)
         np.multiply(g, 1.0 - b1, out=b)
@@ -259,8 +257,10 @@ def train(
     embeds a batch of source sentences, scores them against the matching
     teacher rows, and applies one AdamW update under the warmup/decay
     schedule. A step's activations are freed before the next step's
-    forward, so training holds one step's cache at a time. The teacher is
-    never modified. Per-step records (step, epoch, lr, loss) go to
+    forward, so training holds one step's cache at a time. The first call
+    in a process fixes glibc's heap thresholds, so that the next step and
+    call reuse the freed pages (see ``_malloc``). The teacher is never
+    modified. Per-step records (step, epoch, lr, loss) go to
     train_config.log_path when set.
     """
     n = len(corpus.pairs)
@@ -289,6 +289,7 @@ def train(
         )
     total_steps = train_config.epochs * steps_per_epoch
 
+    _malloc.fix_thresholds()
     params = init_params(enc_config)
     grads = params.zeros_like()
     state = OptimizerState.zeros(params)
@@ -305,15 +306,7 @@ def train(
             for b in range(steps_per_epoch):
                 idx = order[b * train_config.batch_size : (b + 1) * train_config.batch_size]
                 batch, target_rows = [seqs[i] for i in idx], teacher_rows[idx]
-                # The last step's result stays bound until this step returns.
-                # Its gradient rows, allocated above that step's cache, keep
-                # glibc malloc from trimming the cache's freed pages off the
-                # top of the heap, so this step reuses them instead of
-                # faulting in fresh ones (at dim 128, batch 32, a two-step
-                # call took ~8,100 minor page faults against ~14,100, and
-                # ran 9% more steps per second).
-                result = _step(params, grads, batch, target_rows, train_config, global_step)
-                loss_value = result.value
+                loss_value = _step(params, grads, batch, target_rows, train_config, global_step).value
                 lr = lr_at(global_step, total_steps, train_config.warmup_ratio, train_config.base_lr)
                 adamw_step(params, grads, state, lr, train_config)
                 if log_fh is not None:

@@ -2,8 +2,8 @@
 
 ``reference_step`` is the textbook form, one fresh array per operation in
 the dtype of the parameters; ``adamw_step`` computes the same per-element
-operations in the optimizer's work rows and the parameter buffer, one
-65,536-element block at a time.
+operations in the optimizer's two block-long work rows and the parameter
+buffer, one 65,536-element block at a time.
 """
 
 from __future__ import annotations
@@ -95,15 +95,31 @@ def test_matches_whole_buffer_reference(
     assert state.step_count == steps
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_tail_block_matches_reference(dtype):
-    # Two full 65,536-element blocks and a 17-element tail.
-    enc = EncoderConfig(vocab_size=131061, dim=1, n_layers=1, n_heads=1, max_len=1)
-    assert enc.n_params == 2 * 65536 + 17
+@pytest.mark.parametrize(
+    "n_params, dtype",
+    [
+        # Two full 65,536-element blocks and a 17-element tail.
+        pytest.param(2 * 65536 + 17, np.float32, id="float32"),
+        pytest.param(2 * 65536 + 17, np.float64, id="float64"),
+        # One block less one element, one block, and one block and a
+        # one-element tail: the work rows stop growing at one block's
+        # length, and a tail block computes in their first columns.
+        *(
+            pytest.param(n, dtype, id=f"{np.dtype(dtype)}-{n}")
+            for n in (65535, 65536, 65537)
+            for dtype in (np.float32, np.float64)
+        ),
+    ],
+)
+def test_tail_block_matches_reference(n_params, dtype):
+    # At dim 1 with one layer, the tensors besides the token table hold 28.
+    enc = EncoderConfig(vocab_size=n_params - 28, dim=1, n_layers=1, n_heads=1, max_len=1)
+    assert enc.n_params == n_params
     rng = np.random.default_rng(7)
     params = EncoderParams(enc, random_buffer(rng, enc.n_params, dtype))
     grads = params.zeros_like()
     state = OptimizerState.zeros(params)
+    assert state.work.shape == (2, min(n_params, 65536))
     config = TrainingConfig(weight_decay=0.01)
     ref_p, ref_m, ref_v = params.flat.copy(), state.m.copy(), state.v.copy()
 

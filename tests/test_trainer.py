@@ -143,20 +143,6 @@ class TestAdamW:
             assert params.dtype == dtype
             assert state.m.dtype == state.v.dtype == state.work.dtype == dtype
 
-    def test_moments_and_work_rows_share_one_buffer(self, tiny_config):
-        # Separate arrays for m, v and the work rows left the heap laid out
-        # so that an embed() after train() took more page faults (about
-        # 2,650 against 900-1,600 per call at the benchmark's dim-32 size)
-        # and embedded fewer sentences per second.
-        params = init_params(tiny_config)
-        state = OptimizerState.zeros(params)
-        buffer = state.m.base
-        assert buffer is not None and buffer.shape == (4, params.n_params)
-        assert state.v.base is buffer and state.work.base is buffer
-        assert np.shares_memory(state.m, buffer[0]) and np.shares_memory(state.v, buffer[1])
-        assert np.shares_memory(state.work, buffer[2:])
-        assert not state.m.any() and not state.v.any()
-
     def test_non_finite_gradients_name_the_tensor(self, tiny_config):
         params = init_params(tiny_config)
         grads = params.zeros_like()
@@ -312,12 +298,13 @@ class TestTrain:
         assert ckpt.params.flat.tobytes() == trained.tobytes()
 
     def test_holds_one_steps_activations(self, traced_peak):
-        # Weights, gradients and AdamW's four rows are 6·n_params floats. A
-        # step's cache keeps about 10 (rows, dim) arrays per layer besides
-        # the attention probabilities; backward and the next forward add a
-        # few more. Keeping the layer norms' outputs and the GELU's tanh
-        # term as well peaks at about 54 such arrays, and holding the last
-        # step's cache through the next forward at about 80.
+        # Weights, gradients and AdamW's moments are 4·n_params floats, and
+        # its two work rows 2·65,536 (one block each). A step's cache keeps
+        # about 10 (rows, dim) arrays per layer besides the attention
+        # probabilities; backward and the next forward add a few more. It
+        # peaks at about 42 such arrays. Keeping the layer norms' outputs and
+        # the GELU's tanh term as well peaks at about 54, and holding the
+        # last step's cache through the next forward at about 80.
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(100)]
         corpus = ParallelCorpus(
@@ -331,7 +318,7 @@ class TestTrain:
         train(corpus, teacher, vocab, config, train_config)
         peak = traced_peak(lambda: train(corpus, teacher, vocab, config, train_config))
         itemsize = np.dtype(np.float32).itemsize
-        assert peak < (6 * config.n_params + 48 * 32 * 64 * config.dim) * itemsize
+        assert peak < (4 * config.n_params + 2 * 65536 + 48 * 32 * 64 * config.dim) * itemsize
 
     def test_alignment_validation(self, tiny_corpus, tiny_vocab, tiny_config, random_teacher):
         short = TeacherTable(
