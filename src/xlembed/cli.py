@@ -10,11 +10,18 @@ A flag left out takes the default of what it feeds: ``TrainingConfig``,
 ``TsneConfig``, ``EncoderConfig``, ``build_vocab``, ``preprocess`` or
 ``paraphrase_accuracy``. The CLI sets only the model sizes of toy-teacher
 and train (whose ``--dim`` falls back to the teacher's) and its own flags.
+
+``dispatch`` parses with one parser per process, built on its first call;
+``build_parser`` returns a new one. Only the ``_cmd_*`` handlers are bound
+when the parser is built. They look up every library function in this
+module's globals when a command runs, so a function patched here after the
+first dispatch is the one the next command calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from dataclasses import fields
@@ -305,11 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -8,9 +8,11 @@ d-dimensional rows occupies 16 + 4*N*d bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -50,23 +52,39 @@ def read_teacher_file(path: str | Path) -> TeacherTable:
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"no such file: {p}")
-    blob = p.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{p}: too short to hold a teacher-table header")
-    magic, version, count, dim = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FormatError(f"{p}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"{p}: unsupported format version {version}")
-    if count < 1 or dim < 1:
-        raise FormatError(f"{p}: invalid header counts (count={count}, dim={dim})")
-    expected = _HEADER.size + 4 * count * dim
-    if len(blob) != expected:
-        raise FormatError(
-            f"{p}: payload size mismatch: file has {len(blob)} bytes, header implies {expected}"
-        )
-    vectors = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(count, dim).copy()
+    with open(p, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{p}: too short to hold a teacher-table header")
+        magic, version, count, dim = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise FormatError(f"{p}: bad magic {magic!r}, expected {_MAGIC!r}")
+        if version != _VERSION:
+            raise FormatError(f"{p}: unsupported format version {version}")
+        if count < 1 or dim < 1:
+            raise FormatError(f"{p}: invalid header counts (count={count}, dim={dim})")
+        expected = _HEADER.size + 4 * count * dim
+        if file_size != expected:
+            raise FormatError(
+                f"{p}: payload size mismatch: file has {file_size} bytes, header implies {expected}"
+            )
+        vectors = _read_f4(fh, (count, dim), p)
     return TeacherTable(embeddings=EmbeddingBatch(vectors=vectors))
+
+
+def _read_f4(fh: BinaryIO, shape: tuple[int, ...], p: Path) -> np.ndarray:
+    """Read little-endian float32 values of this shape from fh's position
+    straight into a new, aligned native float32 array.
+
+    The caller has checked the payload size against the file size; a read
+    that still comes up short (the file shrank since) raises FormatError.
+    """
+    out = np.empty(shape, dtype="<f4")
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise FormatError(f"{p}: file ended after {got} of {out.nbytes} payload bytes")
+    return out.astype(np.float32, copy=False)
 
 
 def toy_teacher(config: EncoderConfig, vocab: Vocab, corpus: ParallelCorpus) -> TeacherTable:

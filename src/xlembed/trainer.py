@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -36,7 +37,7 @@ from .encoder import (
 )
 from .errors import FormatError, ValidationError, check_count, check_real
 from .losses import LossResult, mnr_loss, mse_loss
-from .teacher import TeacherTable
+from .teacher import TeacherTable, _read_f4
 from .tokenizer import Vocab, encode_batch
 
 logger = logging.getLogger(__name__)
@@ -348,32 +349,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"no such file: {p}")
-    blob = p.read_bytes()
-    if len(blob) < _HEADER.size + 4:
-        raise FormatError(f"{p}: too short to hold a checkpoint header")
-    magic, version = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FormatError(f"{p}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"{p}: unsupported format version {version}")
-    (json_len,) = struct.unpack_from("<I", blob, _HEADER.size)
-    offset = _HEADER.size + 4
-    if offset + json_len + _HASH_BYTES > len(blob):
-        raise FormatError(f"{p}: truncated checkpoint (metadata extends past end of file)")
-    try:
-        payload = json.loads(blob[offset : offset + json_len].decode("utf-8"))
-        config = EncoderConfig(**payload["config"])
-        training_meta = payload["training_meta"]
-    except (ValueError, KeyError, TypeError, ValidationError) as exc:
-        raise FormatError(f"{p}: invalid checkpoint metadata: {exc}") from exc
-    offset += json_len
-    vocab_hash = blob[offset : offset + _HASH_BYTES]
-    offset += _HASH_BYTES
+    with open(p, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        offset = _HEADER.size + 4
+        head = fh.read(offset)
+        if len(head) < offset:
+            raise FormatError(f"{p}: too short to hold a checkpoint header")
+        magic, version = _HEADER.unpack_from(head)
+        if magic != _MAGIC:
+            raise FormatError(f"{p}: bad magic {magic!r}, expected {_MAGIC!r}")
+        if version != _VERSION:
+            raise FormatError(f"{p}: unsupported format version {version}")
+        (json_len,) = struct.unpack_from("<I", head, _HEADER.size)
+        if offset + json_len + _HASH_BYTES > file_size:
+            raise FormatError(f"{p}: truncated checkpoint (metadata extends past end of file)")
+        meta = fh.read(json_len + _HASH_BYTES)
+        try:
+            payload = json.loads(meta[:json_len].decode("utf-8"))
+            config = EncoderConfig(**payload["config"])
+            training_meta = payload["training_meta"]
+        except (ValueError, KeyError, TypeError, ValidationError) as exc:
+            raise FormatError(f"{p}: invalid checkpoint metadata: {exc}") from exc
+        vocab_hash = meta[json_len:]
 
-    size = len(blob) - offset
-    expected = 4 * config.n_params
-    if size != expected:
-        problem = "truncated checkpoint" if size < expected else "trailing bytes after the last tensor"
-        raise FormatError(f"{p}: {problem} ({size} parameter bytes, the config needs {expected})")
-    flat = np.frombuffer(blob, dtype="<f4", offset=offset).astype(np.float32)
+        size = file_size - offset - json_len - _HASH_BYTES
+        expected = 4 * config.n_params
+        if size != expected:
+            problem = "truncated checkpoint" if size < expected else "trailing bytes after the last tensor"
+            raise FormatError(f"{p}: {problem} ({size} parameter bytes, the config needs {expected})")
+        flat = _read_f4(fh, (config.n_params,), p)
     return Checkpoint(vocab_hash, EncoderParams(config, flat), training_meta)

@@ -419,6 +419,76 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def cleared_parser_cache():
+    """dispatch's per-process parser, dropped before and after the test."""
+    xlembed.cli._parser.cache_clear()
+    yield
+    xlembed.cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    @staticmethod
+    def commands(workdir, tmp_path) -> list[list[str]]:
+        build_vocab = ["build-vocab", "--corpus", str(workdir["corpus"]),
+                       "--out", str(tmp_path / "v.txt")]
+        return [
+            build_vocab,
+            ["build-vocab"],  # usage error
+            ["--help"],
+            ["no-such-command"],
+            ["build-vocab", "--corpus", str(tmp_path / "absent.tsv"),
+             "--out", str(tmp_path / "v.txt")],  # data error
+            build_vocab,
+        ]
+
+    @staticmethod
+    def run(argv, capsys) -> tuple[int, str, str]:
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_serves_every_dispatch(self, workdir, tmp_path, capsys, monkeypatch,
+                                              cleared_parser_cache):
+        built = []
+        build_parser = xlembed.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(xlembed.cli, "build_parser", counting)
+        codes = [self.run(argv, capsys)[0] for argv in self.commands(workdir, tmp_path)]
+        assert codes == [0, 1, 0, 1, 2, 0]
+        assert len(built) == 1
+
+    def test_reused_parser_matches_a_fresh_one(self, workdir, tmp_path, capsys,
+                                               cleared_parser_cache):
+        commands = self.commands(workdir, tmp_path)
+        reused = [self.run(argv, capsys) for argv in commands]
+        fresh = []
+        for argv in commands:
+            xlembed.cli._parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert reused == fresh
+        assert all(out or err for _, out, err in reused)
+
+    def test_patch_after_first_dispatch_reaches_next_command(self, workdir, tmp_path, capsys,
+                                                             monkeypatch, cleared_parser_cache):
+        argv = self.commands(workdir, tmp_path)[0]
+        assert dispatch(argv) == 0
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append(kwargs)
+            raise Captured("captured")
+
+        monkeypatch.setattr(xlembed.cli, "build_vocab", capture)
+        assert dispatch(argv) == 2
+        assert calls == [{}]
+        capsys.readouterr()
+
+
 def test_module_entry_point_help():
     # The child must import the package under test, also when pytest put
     # the source tree on sys.path (``pythonpath`` in pyproject.toml) rather

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +72,16 @@ class TestFileFormat:
             with pytest.raises(FormatError):
                 read_teacher_file(bad)
 
+    def test_short_payload_read_is_a_format_error(self, tmp_path, monkeypatch):
+        # The file shrinks after its size was taken: the read comes up short.
+        path = tmp_path / "t.xlte"
+        write_teacher_file(table(np.ones((2, 3), dtype=np.float32)), path)
+        full_size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-4])
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full_size))
+        with pytest.raises(FormatError, match="file ended after"):
+            read_teacher_file(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
             read_teacher_file(tmp_path / "absent.xlte")
@@ -117,4 +129,9 @@ def test_write_read_write_is_byte_identical(count, dim, seed):
         write_teacher_file(loaded, second)
         assert second.read_bytes() == first.read_bytes()
     assert (loaded.count, loaded.dim) == (count, dim)
-    assert loaded.embeddings.vectors.tobytes() == bits.tobytes()
+    rows = loaded.embeddings.vectors
+    assert rows.tobytes() == bits.tobytes()
+    # A fresh aligned array, not a view into the file's bytes.
+    assert rows.dtype == np.float32
+    assert rows.flags.aligned and rows.flags.c_contiguous
+    assert rows.flags.writeable and rows.flags.owndata
