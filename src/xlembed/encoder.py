@@ -17,6 +17,12 @@ normalizer sums each query's terms in key order. So no work is done for
 padding, and a sentence's embedding does not depend on the other sentences
 of its batch or run, bit for bit.
 
+Each stage is a pair of module-level functions, a forward half and its
+backward half: ``_embed_tokens``, ``_attention_forward`` and ``_ffn_forward``
+(once per block), and ``_pool``, each with its ``*_backward``. ``forward``
+and ``embed`` make the same forward calls, and ``backward`` makes the
+backward calls in reverse.
+
 All computation happens in the dtype of the parameter arrays; float32 is
 the default, and tests run the same code in float64 for finite-difference
 gradient checks.
@@ -202,19 +208,19 @@ class EmbeddingBatch:
 
 
 class LayerCache(NamedTuple):
-    """What ``_block_backward`` reads of one block's forward pass.
+    """What the backward halves read of one block's forward pass.
 
-    ``ln1`` and ``ln2`` are the layer norms' ``(xhat, inv)``, ``qkvc`` the
-    Q, K, V and attention context rows, ``alpha`` the score scale, ``probs``
-    each run's key-major attention probabilities and ``u`` the GELU's
-    pre-activation. The layer norms' outputs and the GELU's ``t`` are not
-    kept: backward recomputes them, bit for bit, with the calls that first
-    made them.
+    ``_attention_forward`` returns ``(ln1, qkvc, probs)`` and
+    ``_ffn_forward`` ``(ln2, u)``: ``ln1`` and ``ln2`` are the layer norms'
+    ``(xhat, inv)``, ``qkvc`` the Q, K, V and attention context rows,
+    ``probs`` each run's key-major attention probabilities and ``u`` the
+    GELU's pre-activation. The layer norms' outputs, the GELU's ``t`` and the
+    score scale are not kept: ``_attention_backward`` and ``_ffn_backward``
+    recompute them, bit for bit, with the calls that first made them.
     """
 
     ln1: tuple[np.ndarray, np.ndarray]
     qkvc: np.ndarray
-    alpha: np.ndarray
     probs: list[np.ndarray]
     ln2: tuple[np.ndarray, np.ndarray]
     u: np.ndarray
@@ -224,7 +230,8 @@ class LayerCache(NamedTuple):
 class Cache:
     """The activations forward saves for the backward pass.
 
-    ``layer_caches`` holds one ``LayerCache`` per block, and
+    ``layer_caches`` holds one ``LayerCache`` per block, built from what
+    ``_attention_forward`` and ``_ffn_forward`` return, and
     ``final_norm_cache`` the closing layer norm's ``(xhat, inv)``, so only
     what backward cannot recompute bit for bit is kept: at ``ffn_mult`` 4,
     about 10 ``(rows, dim)`` arrays per block besides the attention
@@ -387,37 +394,56 @@ def _gelu_backward(u: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _block_forward(
-    x: np.ndarray, layer: LayerParams, runs: Runs, n_heads: int, keep: bool
-) -> tuple[np.ndarray, LayerCache | None]:
-    """One pre-norm block on the packed rows ``x``: its output and cache.
+def _run_views(buf: np.ndarray, runs: Runs, n_heads: int) -> list[np.ndarray]:
+    """Each run's ``(4, heads, g, n, dh)`` view of a ``(4, rows, dim)`` buffer
+    of Q, K, V and context rows, or of their gradients: each sentence of a
+    run, head by head, is one matrix of a stacked product."""
+    _, rows, d = buf.shape
+    dh = d // n_heads
+    heads = buf.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    return [heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh) for s, g, n in runs]
 
-    Attention runs once per run of equal-length sentences: each sentence of
-    the run, head by head, is one matrix of a stacked product. With
-    ``keep``, the cache holds only what ``_block_backward`` cannot recompute
-    bit for bit (see ``LayerCache``). Without it the cache is None, and each
-    activation is dropped as soon as the next one exists: one run's
-    attention probabilities are held at a time, and the GELU overwrites its
-    input, so a call holds about one layer's working set.
+
+def _embed_tokens(params: EncoderParams, ids: np.ndarray, runs: Runs) -> np.ndarray:
+    """The packed rows' token embeddings plus each sentence's positions."""
+    x = params.token_embedding[ids]
+    for s, g, n in runs:
+        run = x[s : s + g * n].reshape(g, n, x.shape[1])
+        run += params.position_embedding[:n]
+    return x
+
+
+def _embed_tokens_backward(d_x: np.ndarray, cache: Cache, grads: EncoderParams) -> None:
+    """Add the rows' gradients into the token and position tables."""
+    np.add.at(grads.token_embedding, cache.ids, d_x)
+    for s, g, n in cache.runs:
+        for start in range(s, s + g * n, n):
+            grads.position_embedding[:n] += d_x[start : start + n]
+
+
+def _attention_forward(
+    x: np.ndarray, layer: LayerParams, runs: Runs, n_heads: int, keep: bool
+) -> tuple[np.ndarray, tuple | None]:
+    """``x`` plus the attention of its layer-normed rows, and, with ``keep``,
+    the cache ``(ln1, qkvc, probs)`` of ``LayerCache``.
+
+    Attention runs once per run of equal-length sentences. Without ``keep``
+    one run's probabilities are held at a time.
     """
     rows, d = x.shape
-    dh = d // n_heads
-    h1, ln1 = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
+    h, ln = _layer_norm_forward(x, layer.norm1_gain, layer.norm1_bias)
     # Q, K, V and the attention context, back to back in one buffer, so that
-    # one view per run gives all four as (heads, g, n, dh) blocks.
+    # one view per run gives all four.
     qkvc = np.empty((4, rows, d), dtype=x.dtype)
-    np.matmul(h1, layer.attn_qkv_w, out=qkvc[:3])
+    np.matmul(h, layer.attn_qkv_w, out=qkvc[:3])
     qkvc[:3] += layer.attn_qkv_b[:, None]
-    cat = qkvc[3]
-    cat.fill(0)
-    del h1
+    qkvc[3].fill(0)
+    del h
     if not keep:
-        del ln1
-    heads = qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
-    alpha = np.asarray(1.0 / math.sqrt(dh), dtype=x.dtype)
+        del ln
+    alpha = np.asarray(1.0 / math.sqrt(d // n_heads), dtype=x.dtype)
     probs = []
-    for s, g, n in runs:
-        run = heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh)
+    for run, (s, g, n) in zip(_run_views(qkvc, runs, n_heads), runs):
         # The scores key-major, (keys, heads, g, queries): the softmax's max
         # and normalizer reduce over the leading axis, in long passes, and
         # the normalizer sums in key order. A max is exact in any order.
@@ -431,54 +457,26 @@ def _block_forward(
         if keep:
             probs.append(p)
         np.matmul(p.transpose(1, 2, 3, 0), run[2], out=run[3])
-    x1 = cat @ layer.attn_out_w
-    x1 += layer.attn_out_b
-    x1 += x
-    if not keep:
-        del qkvc, cat, heads, run, p, m
-    h2, ln2 = _layer_norm_forward(x1, layer.norm2_gain, layer.norm2_bias)
-    u = h2 @ layer.ffn_in_w
-    u += layer.ffn_in_b
-    del h2
-    if not keep:
-        del ln2
-    act = _gelu_blocks(u, np.empty_like(u) if keep else u)
-    x2 = act @ layer.ffn_out_w
-    x2 += layer.ffn_out_b
-    x2 += x1
-    if not keep:
-        return x2, None
-    return x2, LayerCache(ln1, qkvc, alpha, probs, ln2, u)
+    out = qkvc[3] @ layer.attn_out_w
+    out += layer.attn_out_b
+    out += x
+    return out, ((ln, qkvc, probs) if keep else None)
 
 
-def _block_backward(
-    d_out: np.ndarray, layer: LayerParams, cache: LayerCache, grads: LayerParams, runs: Runs
+def _attention_backward(
+    d_out: np.ndarray, layer: LayerParams, cache: LayerCache, grads: LayerParams,
+    runs: Runs, n_heads: int,
 ) -> np.ndarray:
-    qkvc, probs = cache.qkvc, cache.probs
-    n_heads = probs[0].shape[1]
-    _, rows, d = qkvc.shape
-    dh = d // n_heads
-
-    d_u = d_out @ layer.ffn_out_w.T
-    grads.ffn_out_w += _gelu_backward(cache.u, d_u).T @ d_out
-    grads.ffn_out_b += d_out.sum(axis=0)
-    grads.ffn_in_w += _norm_output(cache.ln2[0], layer.norm2_gain, layer.norm2_bias).T @ d_u
-    grads.ffn_in_b += d_u.sum(axis=0)
-    d_x1 = _layer_norm_backward(
-        d_u @ layer.ffn_in_w.T, layer.norm2_gain, cache.ln2, grads.norm2_gain, grads.norm2_bias
-    )
-    d_x1 += d_out
-
-    grads.attn_out_w += qkvc[3].T @ d_x1
-    grads.attn_out_b += d_x1.sum(axis=0)
+    """The input gradient of ``_attention_forward``; the weight gradients are
+    added to ``grads``."""
+    grads.attn_out_w += cache.qkvc[3].T @ d_out
+    grads.attn_out_b += d_out.sum(axis=0)
     # Gradients of Q, K, V and the context, laid out like qkvc.
-    d_qkvc = np.zeros((4, rows, d), dtype=d_out.dtype)
-    np.matmul(d_x1, layer.attn_out_w.T, out=d_qkvc[3])
-    heads = qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
-    d_heads = d_qkvc.reshape(4, rows, n_heads, dh).transpose(0, 2, 1, 3)
-    for p, (s, g, n) in zip(probs, runs):
-        run = heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh)
-        d_run = d_heads[:, :, s : s + g * n].reshape(4, n_heads, g, n, dh)
+    d_qkvc = np.zeros((4, *d_out.shape), dtype=d_out.dtype)
+    np.matmul(d_out, layer.attn_out_w.T, out=d_qkvc[3])
+    for p, run, d_run in zip(
+        cache.probs, _run_views(cache.qkvc, runs, n_heads), _run_views(d_qkvc, runs, n_heads)
+    ):
         p_kq = p.transpose(1, 2, 0, 3)
         np.matmul(p_kq, d_run[3], out=d_run[2])
         # The softmax's backward, key-major like p, in the buffer of d_probs.
@@ -490,14 +488,72 @@ def _block_backward(
         np.matmul(d_scores.transpose(1, 2, 3, 0), run[1], out=d_run[0])
         np.matmul(d_scores_kq, run[0], out=d_run[1])
     d_qkv = d_qkvc[:3]
-    d_qkv[:2] *= cache.alpha
-    d_h1 = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
+    d_qkv[:2] *= np.asarray(1.0 / math.sqrt(d_out.shape[1] // n_heads), dtype=d_out.dtype)
+    d_h = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
     grads.attn_qkv_w += _norm_output(cache.ln1[0], layer.norm1_gain, layer.norm1_bias).T @ d_qkv
     grads.attn_qkv_b += d_qkv.sum(axis=1)
+    d_x = _layer_norm_backward(d_h, layer.norm1_gain, cache.ln1, grads.norm1_gain, grads.norm1_bias)
+    d_x += d_out
+    return d_x
+
+
+def _ffn_forward(x: np.ndarray, layer: LayerParams, keep: bool) -> tuple[np.ndarray, tuple | None]:
+    """``x`` plus the feed-forward of its layer-normed rows, and, with
+    ``keep``, the cache ``(ln2, u)`` of ``LayerCache``. Without ``keep`` the
+    GELU overwrites its input ``u``."""
+    h, ln = _layer_norm_forward(x, layer.norm2_gain, layer.norm2_bias)
+    u = h @ layer.ffn_in_w
+    u += layer.ffn_in_b
+    del h
+    if not keep:
+        del ln
+    act = _gelu_blocks(u, np.empty_like(u) if keep else u)
+    out = act @ layer.ffn_out_w
+    out += layer.ffn_out_b
+    out += x
+    return out, ((ln, u) if keep else None)
+
+
+def _ffn_backward(
+    d_out: np.ndarray, layer: LayerParams, cache: LayerCache, grads: LayerParams
+) -> np.ndarray:
+    """The input gradient of ``_ffn_forward``; the weight gradients are added
+    to ``grads``."""
+    d_u = d_out @ layer.ffn_out_w.T
+    grads.ffn_out_w += _gelu_backward(cache.u, d_u).T @ d_out
+    grads.ffn_out_b += d_out.sum(axis=0)
+    grads.ffn_in_w += _norm_output(cache.ln2[0], layer.norm2_gain, layer.norm2_bias).T @ d_u
+    grads.ffn_in_b += d_u.sum(axis=0)
     d_x = _layer_norm_backward(
-        d_h1, layer.norm1_gain, cache.ln1, grads.norm1_gain, grads.norm1_bias
+        d_u @ layer.ffn_in_w.T, layer.norm2_gain, cache.ln2, grads.norm2_gain, grads.norm2_bias
     )
-    d_x += d_x1
+    d_x += d_out
+    return d_x
+
+
+def _pool(x: np.ndarray, runs: Runs, count: int) -> np.ndarray:
+    """Each of the ``count`` sentences' mean row.
+
+    A sum over the middle axis of a run adds the rows of each sentence in
+    order, as a sum over one sentence's rows does.
+    """
+    embeddings = np.empty((count, x.shape[1]), dtype=x.dtype)
+    i = 0
+    for s, g, n in runs:
+        pooled = embeddings[i : i + g]
+        np.add.reduce(x[s : s + g * n].reshape(g, n, -1), axis=1, out=pooled)
+        pooled /= n
+        i += g
+    return embeddings
+
+
+def _pool_backward(d_embeddings: np.ndarray, cache: Cache) -> np.ndarray:
+    """The gradient of ``_pool`` on every packed row; padding rows get 0."""
+    d_x = np.zeros((cache.ids.size, d_embeddings.shape[1]), dtype=d_embeddings.dtype)
+    i = 0
+    for s, g, n in cache.runs:
+        d_x[s : s + g * n].reshape(g, n, -1)[...] = d_embeddings[i : i + g, None] / n
+        i += g
     return d_x
 
 
@@ -549,9 +605,11 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     so a row does not depend on the rest of its batch (the README's
     Determinism section has the BLAS caveat). Only a batch of fewer than
     ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``). The
-    cache holds what ``backward`` reads of every layer, less what it
-    recomputes bit for bit: the layer norms' outputs and the GELU's tanh
-    term (see ``LayerCache``).
+    pass is ``_embed_tokens``, then ``_attention_forward`` and
+    ``_ffn_forward`` per layer, the final layer norm and ``_pool``, the same
+    calls that ``embed`` makes. The cache holds what ``backward`` reads of
+    every layer, less what it recomputes bit for bit: the layer norms'
+    outputs and the GELU's tanh term (see ``LayerCache``).
     """
     embeddings, cache = _encode(params, batch, keep=True)
     return EmbeddingBatch(vectors=embeddings), cache
@@ -562,34 +620,20 @@ def _encode(
 ) -> tuple[np.ndarray, Cache | None]:
     """The pass of ``forward``: embeddings, and a cache only with ``keep``.
 
-    ``embed`` runs it without ``keep``, so that no layer's activations
-    outlive the layer (see ``_block_forward``).
+    ``embed`` runs it without ``keep``, so that no half's activations
+    outlive the half.
     """
     config = params.config
-    d = config.dim
     ids, runs = _pack(batch, config)
-
-    x = params.token_embedding[ids]
-    for s, g, n in runs:
-        run = x[s : s + g * n].reshape(g, n, d)
-        run += params.position_embedding[:n]
-    del run  # a view that would keep this first x alive through every layer
+    x = _embed_tokens(params, ids, runs)
     layer_caches = []
     for layer in params.layers:
-        x, cache = _block_forward(x, layer, runs, config.n_heads, keep)
-        layer_caches.append(cache)
+        x, attention = _attention_forward(x, layer, runs, config.n_heads, keep)
+        x, ffn = _ffn_forward(x, layer, keep)
+        if keep:
+            layer_caches.append(LayerCache(*attention, *ffn))
     xf, lnfc = _layer_norm_forward(x, params.final_gain, params.final_bias)
-
-    # Each sentence's mean row; a sum over the middle axis of a run adds the
-    # rows of each sentence in order, as a sum over one sentence's rows does.
-    embeddings = np.empty((len(batch), d), dtype=params.dtype)
-    i = 0
-    for s, g, n in runs:
-        pooled = embeddings[i : i + g]
-        np.add.reduce(xf[s : s + g * n].reshape(g, n, d), axis=1, out=pooled)
-        pooled /= n
-        i += g
-
+    embeddings = _pool(xf, runs, len(batch))
     return embeddings, (Cache(ids, runs, layer_caches, lnfc) if keep else None)
 
 
@@ -600,36 +644,33 @@ def backward(
 
     ``grads`` is the caller's gradient buffer, laid out like ``params``: it
     is zeroed, the gradients are accumulated into it, and it is returned.
+    It makes ``forward``'s calls in reverse, each as its backward half:
+    ``_pool_backward``, the final layer norm's, ``_ffn_backward`` and
+    ``_attention_backward`` per layer from the last, and
+    ``_embed_tokens_backward``.
     """
     config = params.config
-    d = config.dim
     grad_output = np.asarray(grad_output, dtype=params.dtype)
-    lengths = [n for _, g, n in cache.runs for _ in range(g)]
-    if grad_output.shape != (len(lengths), d):
+    count = sum([g for _, g, _ in cache.runs])
+    if grad_output.shape != (count, config.dim):
         raise ValidationError(
             f"grad_output shape {grad_output.shape} does not match "
-            f"(batch, dim) = ({len(lengths)}, {d})"
+            f"(batch, dim) = ({count}, {config.dim})"
         )
     if grads.config != config or grads.dtype != params.dtype:
         raise ValidationError("grads must have the config and dtype of params")
     grads.flat.fill(0)
 
-    d_pooled = grad_output / np.array(lengths, dtype=params.dtype)[:, None]
-    d_xf = np.zeros((cache.ids.size, d), dtype=params.dtype)
-    d_xf[: sum(lengths)] = np.repeat(d_pooled, lengths, axis=0)
+    d_x = _pool_backward(grad_output, cache)
     d_x = _layer_norm_backward(
-        d_xf, params.final_gain, cache.final_norm_cache, grads.final_gain, grads.final_bias
+        d_x, params.final_gain, cache.final_norm_cache, grads.final_gain, grads.final_bias
     )
-
     for layer, layer_grads, layer_cache in zip(
         reversed(params.layers), reversed(grads.layers), reversed(cache.layer_caches)
     ):
-        d_x = _block_backward(d_x, layer, layer_cache, layer_grads, cache.runs)
-
-    np.add.at(grads.token_embedding, cache.ids, d_x)
-    for s, g, n in cache.runs:
-        for start in range(s, s + g * n, n):
-            grads.position_embedding[:n] += d_x[start : start + n]
+        d_x = _ffn_backward(d_x, layer, layer_cache, layer_grads)
+        d_x = _attention_backward(d_x, layer, layer_cache, layer_grads, cache.runs, config.n_heads)
+    _embed_tokens_backward(d_x, cache, grads)
     return grads
 
 
@@ -664,8 +705,9 @@ def embed(
     that equal-length sentences meet in runs; the rows come back in input
     order. Rows are independent of their chunk, run and order, so the result
     is bit-identical to one pass over all texts, and to ``forward``'s rows:
-    both run the same layer code, but here each layer's activations are
-    dropped as the pass goes, so a chunk holds about one layer's working set.
+    both call ``_embed_tokens``, ``_attention_forward``, ``_ffn_forward`` and
+    ``_pool``, but here the halves keep no cache, so each half's activations
+    die when it returns and a chunk holds about one layer's working set.
     The first call in a process fixes glibc's heap thresholds, so that the
     next chunk and call reuse the freed pages (see ``_malloc``).
     """

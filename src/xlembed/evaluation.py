@@ -6,6 +6,7 @@ All statistics are computed in double precision. Spearman uses fractional
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -39,13 +40,7 @@ class EvalReport:
             raise ValidationError(f"accuracy {self.accuracy} outside [0, 1]")
 
     def to_json(self) -> str:
-        record: dict[str, object] = {"task": self.task}
-        for key in ("mcs", "accuracy", "pearson_r", "spearman_rho"):
-            value = getattr(self, key)
-            if value is not None:
-                record[key] = value
-        record["inference_seconds"] = self.inference_seconds
-        record["n_items"] = self.n_items
+        record = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
         return json.dumps(record, sort_keys=True)
 
 
@@ -105,17 +100,15 @@ def pearson(x, y) -> float:
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the average of their positions.
+
+    A group of ``count`` equal values whose last sorted position is ``last``
+    spans positions ``last - count + 1`` to ``last``; the average is an exact
+    half-integer.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return ((2 * last - counts + 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:

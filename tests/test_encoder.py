@@ -29,6 +29,57 @@ def loss_and_grads(params, batch, weights):
     return value, backward(params, cache, weights, params.zeros_like())
 
 
+class TestLayerHalves:
+    HALVES = (
+        "_embed_tokens", "_attention_forward", "_ffn_forward", "_pool",
+        "_pool_backward", "_ffn_backward", "_attention_backward", "_embed_tokens_backward",
+    )
+
+    def test_forward_embed_and_backward_share_the_halves(self, tiny_vocab, monkeypatch):
+        from xlembed import encoder as encoder_module
+
+        calls = []
+        for name in self.HALVES:
+
+            def record(*args, _name=name, _real=getattr(encoder_module, name)):
+                # The forward halves take keep last; the others take no flag.
+                keep = args[-1] if _name in ("_attention_forward", "_ffn_forward") else None
+                calls.append((_name, keep))
+                return _real(*args)
+
+            monkeypatch.setattr(encoder_module, name, record)
+        config = EncoderConfig(vocab_size=tiny_vocab.size, dim=8, n_layers=3, n_heads=2, max_len=6)
+        params = init_params(config)
+
+        def layers(*names, keep=None):
+            return [(name, keep) for name in names] * config.n_layers
+
+        texts = ["the cat sat", "a dog ran fast", "birds sing", "the sun"]
+        emb, cache = forward(params, encode_batch(tiny_vocab, texts, config.max_len))
+        forward_calls = (
+            [("_embed_tokens", None)]
+            + layers("_attention_forward", "_ffn_forward", keep=True)
+            + [("_pool", None)]
+        )
+        assert calls == forward_calls
+        calls.clear()
+        backward(params, cache, np.ones_like(emb.vectors), params.zeros_like())
+        assert calls == (
+            [("_pool_backward", None)]
+            + layers("_ffn_backward", "_attention_backward")
+            + [("_embed_tokens_backward", None)]
+        )
+        calls.clear()
+        # Four texts in chunks of two: two passes, each without a cache.
+        embed(params, tiny_vocab, texts, config.max_len, batch_size=2)
+        embed_calls = (
+            [("_embed_tokens", None)]
+            + layers("_attention_forward", "_ffn_forward", keep=False)
+            + [("_pool", None)]
+        )
+        assert calls == embed_calls * 2
+
+
 class TestConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValidationError):

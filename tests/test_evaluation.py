@@ -136,12 +136,13 @@ class TestSpearman:
         from xlembed.evaluation import _fractional_ranks
 
         rng = np.random.default_rng(33)
+        cases = [np.array([0.0, -1.0, -0.0, 2.0, 0.0])]  # -0.0 and 0.0 tie
         for _ in range(50):
             n = int(rng.integers(2, 30))
-            values = rng.integers(0, 5, size=n).astype(np.float64)
-            assert np.allclose(
-                _fractional_ranks(values), ranks_by_definition(list(values)), atol=1e-12
-            )
+            cases.append(rng.integers(0, 5, size=n).astype(np.float64))
+        for values in cases:
+            # Average ranks are exact half-integers, so they compare exactly.
+            assert np.array_equal(_fractional_ranks(values), ranks_by_definition(list(values)))
 
     def test_matches_rank_then_pearson_on_tied_data(self):
         rng = np.random.default_rng(34)
@@ -174,14 +175,18 @@ class TestEvalReport:
         report = EvalReport(
             task="sts", inference_seconds=0.25, n_items=10, pearson_r=0.5, spearman_rho=0.4
         )
-        record = json.loads(report.to_json())
-        assert record == {
+        line = report.to_json()
+        assert json.loads(line) == {
             "task": "sts",
             "pearson_r": 0.5,
             "spearman_rho": 0.4,
             "inference_seconds": 0.25,
             "n_items": 10,
         }
+        assert line == (
+            '{"inference_seconds": 0.25, "n_items": 10, "pearson_r": 0.5, '
+            '"spearman_rho": 0.4, "task": "sts"}'
+        )
 
     def test_absent_metrics_are_omitted(self):
         report = EvalReport(task="paraphrase", inference_seconds=0.1, n_items=3, accuracy=1.0, mcs=0.9)
