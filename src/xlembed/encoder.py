@@ -691,6 +691,16 @@ def _chunk_starts(lengths: list[int], chunks: int) -> list[int]:
     return starts + [len(lengths)]
 
 
+def _check_vocab(vocab: Vocab, config: EncoderConfig) -> None:
+    """Reject a vocabulary whose ids run past the token table. A larger
+    table is fine: its extra rows get no gradient."""
+    if vocab.size > config.vocab_size:
+        raise ValidationError(
+            f"vocabulary has {vocab.size} entries but the encoder's token table "
+            f"has {config.vocab_size} rows"
+        )
+
+
 def embed(
     params: EncoderParams,
     vocab: Vocab,
@@ -719,6 +729,7 @@ def embed(
             f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
         )
     check_count("batch_size", batch_size, 1)
+    _check_vocab(vocab, params.config)
     _malloc.fix_thresholds()
     seqs = encode_batch(vocab, texts, max_len)
     lengths = [len(seq) for seq in seqs]

@@ -14,6 +14,7 @@ order of ``EncoderParams.tensors()``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -31,6 +32,7 @@ from .encoder import (
     EmbeddingBatch,
     EncoderConfig,
     EncoderParams,
+    _check_vocab,
     backward,
     forward,
     init_params,
@@ -97,18 +99,15 @@ class TrainingConfig:
 
 @dataclass
 class OptimizerState:
-    """AdamW's first and second moment estimates ``m`` and ``v``, two work
-    rows that ``adamw_step`` computes in, and the step counter.
+    """AdamW's first and second moment estimates ``m`` and ``v`` and the
+    step counter: everything a continued run needs of the optimizer.
 
     ``m`` and ``v`` are flat arrays in the dtype of the parameters and laid
-    out like ``EncoderParams.flat``. ``work`` holds two rows of that dtype,
-    each as long as one block of ``adamw_step`` (or the whole buffer, when
-    it is shorter).
+    out like ``EncoderParams.flat``.
     """
 
     m: np.ndarray
     v: np.ndarray
-    work: np.ndarray
     step_count: int = 0
 
     @classmethod
@@ -116,7 +115,6 @@ class OptimizerState:
         return cls(
             m=np.zeros(params.n_params, dtype=params.dtype),
             v=np.zeros(params.n_params, dtype=params.dtype),
-            work=np.empty((2, min(params.n_params, _ADAMW_BLOCK)), dtype=params.dtype),
         )
 
 
@@ -171,9 +169,10 @@ def adamw_step(
 
     Decay multiplies parameters by (1 - lr * weight_decay) before the
     moment-driven update is subtracted. The arithmetic runs in the dtype of
-    the parameters, one block of the flat buffer at a time, in ``state``'s
-    two block-long work rows (their first ``len(block)`` columns) and
-    straight in ``params.flat``, so a block's operations stay in cache.
+    the parameters, one block of the flat buffer at a time, in two
+    block-long work rows taken once per call (their first ``len(block)``
+    columns) and straight in ``params.flat``, so a block's operations stay
+    in cache.
     Every operation is element-wise, so the blocks give the same bytes as
     whole-buffer passes. ``params`` and ``state`` are updated in place;
     ``grads`` is only read. A non-finite gradient raises before
@@ -186,11 +185,12 @@ def adamw_step(
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
+    work = np.empty((2, min(params.n_params, _ADAMW_BLOCK)), dtype=params.dtype)
     for start in range(0, params.n_params, _ADAMW_BLOCK):
         block = slice(start, start + _ADAMW_BLOCK)
         g, p = grads.flat[block], params.flat[block]
         m, v = state.m[block], state.v[block]
-        a, b = state.work[:, : g.size]
+        a, b = work[:, : g.size]
         # m = b1 * m + (1 - b1) * g
         np.multiply(m, b1, out=m)
         np.multiply(g, 1.0 - b1, out=b)
@@ -241,7 +241,7 @@ def _step(
         result = mnr_loss(target, student, scale=config.scale)
     if not math.isfinite(result.value):
         raise ValidationError(f"loss became non-finite at step {step}; aborting")
-    backward(params, cache, result.grad_student.astype(params.dtype), grads)
+    backward(params, cache, result.grad_student, grads)
     return result
 
 
@@ -262,7 +262,8 @@ def train(
     in a process fixes glibc's heap thresholds, so that the next step and
     call reuse the freed pages (see ``_malloc``). The teacher is never
     modified. Per-step records (step, epoch, lr, loss) go to
-    train_config.log_path when set.
+    train_config.log_path when set; the file is closed however the run
+    ends. Steps are counted only in the ``OptimizerState``'s ``step_count``.
     """
     n = len(corpus.pairs)
     if n < 1:
@@ -281,6 +282,7 @@ def train(
             f"training max_len {train_config.max_len} exceeds the encoder's "
             f"position table ({enc_config.max_len})"
         )
+    _check_vocab(vocab, enc_config)
     steps_per_epoch = _plan_epoch(n, train_config)
     if steps_per_epoch < 1:
         raise ValidationError("corpus is too small to form a single usable batch")
@@ -295,29 +297,24 @@ def train(
     grads = params.zeros_like()
     state = OptimizerState.zeros(params)
     seqs = encode_batch(vocab, corpus.sources(), train_config.max_len)
-    teacher_rows = np.asarray(teacher.embeddings.vectors)
     rng = np.random.default_rng(train_config.seed)
 
-    log_fh = open(train_config.log_path, "w", encoding="utf-8") if train_config.log_path else None
-    global_step = 0
+    log_path = train_config.log_path
     loss_value = float("nan")
-    try:
+    with open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext() as log_fh:
         for epoch in range(train_config.epochs):
             order = rng.permutation(n) if train_config.shuffle else np.arange(n)
             for b in range(steps_per_epoch):
                 idx = order[b * train_config.batch_size : (b + 1) * train_config.batch_size]
-                batch, target_rows = [seqs[i] for i in idx], teacher_rows[idx]
-                loss_value = _step(params, grads, batch, target_rows, train_config, global_step).value
-                lr = lr_at(global_step, total_steps, train_config.warmup_ratio, train_config.base_lr)
+                batch, target_rows = [seqs[i] for i in idx], teacher.embeddings.vectors[idx]
+                step = state.step_count
+                loss_value = _step(params, grads, batch, target_rows, train_config, step).value
+                lr = lr_at(step, total_steps, train_config.warmup_ratio, train_config.base_lr)
                 adamw_step(params, grads, state, lr, train_config)
                 if log_fh is not None:
-                    log_fh.write(f"{global_step}\t{epoch}\t{lr:.8g}\t{loss_value:.10g}\n")
-                global_step += 1
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+                    log_fh.write(f"{step}\t{epoch}\t{lr:.8g}\t{loss_value:.10g}\n")
 
-    meta = {"loss": train_config.loss, "steps": global_step, "final_loss": loss_value}
+    meta = {"loss": train_config.loss, "steps": state.step_count, "final_loss": loss_value}
     return Checkpoint(vocab_hash=vocab.content_hash(), params=params, training_meta=meta)
 
 

@@ -92,8 +92,9 @@ class Layout2D:
 def _squared_distances(
     x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
-    """Squared distances between the rows of x, clipped at 0, zero on the
-    diagonal; computed in the N x N arrays out and work when given."""
+    """Squared distances between the rows of x, clipped at 0; computed in
+    the N x N arrays out and work when given. The diagonal is left as it
+    comes out (near 0, not exactly): both callers drop or overwrite it."""
     sq = (x * x).sum(axis=1)
     twice_dot = np.matmul(x, x.T, out=work)
     twice_dot *= 2.0
@@ -102,7 +103,6 @@ def _squared_distances(
     d2 += sq[:, None]
     d2 -= twice_dot
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
     return d2
 
 

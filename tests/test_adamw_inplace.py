@@ -2,8 +2,10 @@
 
 ``reference_step`` is the textbook form, one fresh array per operation in
 the dtype of the parameters; ``adamw_step`` computes the same per-element
-operations in the optimizer's two block-long work rows and the parameter
-buffer, one 65,536-element block at a time.
+operations in two block-long work rows it takes per call and the parameter
+buffer, one 65,536-element block at a time. ``OptimizerState`` is only the
+moments and the step count, so a run continued from copies of them is the
+run that never stopped.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ def test_tail_block_matches_reference(n_params, dtype):
     params = EncoderParams(enc, random_buffer(rng, enc.n_params, dtype))
     grads = params.zeros_like()
     state = OptimizerState.zeros(params)
-    assert state.work.shape == (2, min(n_params, 65536))
     config = TrainingConfig(weight_decay=0.01)
     ref_p, ref_m, ref_v = params.flat.copy(), state.m.copy(), state.v.copy()
 
@@ -130,3 +131,43 @@ def test_tail_block_matches_reference(n_params, dtype):
         assert params.flat.tobytes() == ref_p.tobytes()
         assert state.m.tobytes() == ref_m.tobytes()
         assert state.v.tobytes() == ref_v.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    steps=st.integers(2, 6),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_continuing_from_copied_moments_matches_one_run(dim, dtype, steps, data, seed):
+    stop = data.draw(st.integers(1, steps - 1), label="stop")
+    enc = EncoderConfig(vocab_size=11, dim=dim, n_layers=1, n_heads=1, max_len=4)
+    rng = np.random.default_rng(seed)
+    start = random_buffer(rng, enc.n_params, dtype)
+    gradients = [random_buffer(rng, enc.n_params, dtype) for _ in range(steps)]
+    lrs = rng.uniform(0.0, 1e-2, size=steps).tolist()
+    config = TrainingConfig(weight_decay=0.01)
+
+    def run(params, state, ks):
+        for k in ks:
+            adamw_step(params, EncoderParams(enc, gradients[k]), state, lrs[k], config)
+
+    whole = EncoderParams(enc, start.copy())
+    whole_state = OptimizerState.zeros(whole)
+    run(whole, whole_state, range(steps))
+
+    first = EncoderParams(enc, start.copy())
+    first_state = OptimizerState.zeros(first)
+    run(first, first_state, range(stop))
+    resumed = EncoderParams(enc, first.flat.copy())
+    resumed_state = OptimizerState(
+        first_state.m.copy(), first_state.v.copy(), first_state.step_count
+    )
+    run(resumed, resumed_state, range(stop, steps))
+
+    assert resumed.flat.tobytes() == whole.flat.tobytes()
+    assert resumed_state.m.tobytes() == whole_state.m.tobytes()
+    assert resumed_state.v.tobytes() == whole_state.v.tobytes()
+    assert resumed_state.step_count == whole_state.step_count == steps

@@ -249,6 +249,29 @@ class TestForward:
             with pytest.raises(ValidationError, match="batch_size"):
                 embed(params, tiny_vocab, ["the", "a dog"], max_len=4, batch_size=batch_size)
 
+    def test_embed_rejects_a_vocab_larger_than_the_token_table(
+        self, tiny_config, tiny_vocab, monkeypatch
+    ):
+        from xlembed import encoder as encoder_module
+
+        calls = []
+        real_encode = encoder_module._encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(args)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(encoder_module, "_encode", counting_encode)
+        small = dataclasses.replace(tiny_config, vocab_size=tiny_vocab.size - 1)
+        with pytest.raises(
+            ValidationError, match=f"{tiny_vocab.size} entries .* {tiny_vocab.size - 1} rows"
+        ):
+            embed(init_params(small), tiny_vocab, ["the cat sat", "birds sing"], max_len=4)
+        assert calls == []
+        large = dataclasses.replace(tiny_config, vocab_size=tiny_vocab.size + 3)
+        emb = embed(init_params(large), tiny_vocab, ["the cat sat", "birds sing"], max_len=4)
+        assert emb.vectors.shape == (2, large.dim) and len(calls) == 1
+
     def test_embed_max_len_must_be_an_integer(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)
         for max_len in (1.5, True, 0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -27,6 +28,7 @@ from xlembed import (
     backward,
     build_vocab,
     embed,
+    forward,
     init_params,
     load_checkpoint,
     lr_at,
@@ -137,11 +139,11 @@ class TestAdamW:
         for dtype in (np.float32, np.float64):
             params = init_params(tiny_config, dtype)
             state = OptimizerState.zeros(params)
-            assert state.m.dtype == state.v.dtype == state.work.dtype == dtype
+            assert state.m.dtype == state.v.dtype == dtype
             grads = EncoderParams(params.config, np.ones_like(params.flat))
             adamw_step(params, grads, state, 1e-3, quick_config())
             assert params.dtype == dtype
-            assert state.m.dtype == state.v.dtype == state.work.dtype == dtype
+            assert state.m.dtype == state.v.dtype == dtype
 
     def test_non_finite_gradients_name_the_tensor(self, tiny_config):
         params = init_params(tiny_config)
@@ -245,6 +247,57 @@ class TestTrain:
             expected_lr = lr_at(step, total, config.warmup_ratio, config.base_lr)
             assert float(fields[2]) == pytest.approx(expected_lr, rel=1e-6, abs=1e-12)
 
+    def test_aborted_run_closes_its_log_after_the_finished_steps(
+        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher, tmp_path
+    ):
+        log = tmp_path / "run.log"
+        abort_at = 4
+        opened = []
+        real_open = open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        def failing_adamw_step(params, grads, state, lr, config):
+            if state.step_count == abort_at:
+                raise ValidationError("stop here")
+            adamw_step(params, grads, state, lr, config)
+
+        with mock.patch.object(trainer_module, "adamw_step", failing_adamw_step), mock.patch.object(
+            trainer_module, "open", recording_open, create=True
+        ), pytest.raises(ValidationError, match="stop here"):
+            train(
+                tiny_corpus, random_teacher, tiny_vocab, tiny_config,
+                quick_config(epochs=3, log_path=str(log)),
+            )
+        assert len(opened) == 1 and opened[0].closed
+        lines = log.read_text().splitlines()
+        assert [int(line.split("\t")[0]) for line in lines] == list(range(abort_at))
+
+    def test_vocab_must_fit_the_token_table(
+        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher
+    ):
+        calls = []
+
+        def counting_forward(*args):
+            calls.append(args)
+            return forward(*args)
+
+        small = dataclasses.replace(tiny_config, vocab_size=tiny_vocab.size - 1)
+        with mock.patch.object(trainer_module, "forward", counting_forward), pytest.raises(
+            ValidationError, match=f"{tiny_vocab.size} entries .* {tiny_vocab.size - 1} rows"
+        ):
+            train(tiny_corpus, random_teacher, tiny_vocab, small, quick_config())
+        assert calls == []
+        # A larger table trains; with no weight decay its extra rows keep their bytes.
+        large = dataclasses.replace(tiny_config, vocab_size=tiny_vocab.size + 3)
+        ckpt = train(tiny_corpus, random_teacher, tiny_vocab, large, quick_config(weight_decay=0.0))
+        extra = slice(tiny_vocab.size, None)
+        initial = init_params(large).token_embedding[extra]
+        assert ckpt.params.token_embedding[extra].tobytes() == initial.tobytes()
+        assert ckpt.params.flat.tobytes() != init_params(large).flat.tobytes()
+
     def test_mnr_path_trains(self, tiny_corpus, tiny_vocab, tiny_config, random_teacher):
         ckpt = train(
             tiny_corpus,
@@ -299,14 +352,14 @@ class TestTrain:
 
     def test_holds_one_steps_activations(self, traced_peak):
         # Weights, gradients and AdamW's moments are 4·n_params floats, and
-        # its two work rows 2·65,536 (one block each). A step's cache keeps
-        # about 10 (rows, dim) arrays per layer besides the attention
-        # probabilities; backward and the next forward add a few more. It
-        # peaks at about 36 such arrays. Holding the FFN's (rows, 4·dim)
-        # gradient through attention's backward peaks at about 42, keeping
-        # the layer norms' outputs and the GELU's tanh term as well at about
-        # 54, and holding the last step's cache through the next forward at
-        # about 80.
+        # the two work rows each adamw_step call allocates 2·65,536 (one
+        # block each). A step's cache keeps about 10 (rows, dim) arrays per
+        # layer besides the attention probabilities; backward and the next
+        # forward add a few more. It peaks at about 36 such arrays. Holding
+        # the FFN's (rows, 4·dim) gradient through attention's backward
+        # peaks at about 42, keeping the layer norms' outputs and the GELU's
+        # tanh term as well at about 54, and holding the last step's cache
+        # through the next forward at about 80.
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(100)]
         corpus = ParallelCorpus(
