@@ -18,6 +18,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -83,37 +84,44 @@ def read_lines(path: str | Path) -> list[str]:
     return text.removesuffix("\n").split("\n") if text else []
 
 
+def _tsv_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each line of a TSV file; a line
+    that tabs do not cut into exactly ``n_fields`` fields raises FormatError."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise FormatError(
+                f"{path}: line {lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
+
+
 def load_parallel(path: str | Path, format: str = "tsv") -> ParallelCorpus:
     """Load a parallel corpus from TSV or JSONL.
 
-    TSV rows must have exactly two tab-separated fields; JSONL rows must be
+    TSV rows must have exactly two fields; JSONL rows must be
     objects with exactly the string fields ``src`` and ``tgt``. Malformed
     rows raise FormatError naming the 1-based line number. An empty file
     yields an empty corpus (downstream operations reject it).
     """
     if format not in ("tsv", "jsonl"):
         raise ValidationError(f"unknown parallel format: {format!r} (expected 'tsv' or 'jsonl')")
+    if format == "tsv":
+        return ParallelCorpus(pairs=[(src, tgt) for _, (src, tgt) in _tsv_rows(path, 2)])
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(read_lines(path), start=1):
-        if format == "tsv":
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            pairs.append((fields[0], fields[1]))
-        else:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or set(record) != {"src", "tgt"}:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected an object with exactly the keys 'src' and 'tgt'"
-                )
-            if not isinstance(record["src"], str) or not isinstance(record["tgt"], str):
-                raise FormatError(f"{path}: line {lineno}: 'src' and 'tgt' must be strings")
-            pairs.append((record["src"], record["tgt"]))
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict) or set(record) != {"src", "tgt"}:
+            raise FormatError(
+                f"{path}: line {lineno}: expected an object with exactly the keys 'src' and 'tgt'"
+            )
+        if not isinstance(record["src"], str) or not isinstance(record["tgt"], str):
+            raise FormatError(f"{path}: line {lineno}: 'src' and 'tgt' must be strings")
+        pairs.append((record["src"], record["tgt"]))
     return ParallelCorpus(pairs=pairs)
 
 
@@ -121,12 +129,7 @@ def load_scored_pairs(path: str | Path) -> ScoredPairs:
     """Load three-column TSV of (text_a, text_b, score), score in [0, 5]."""
     pairs: list[tuple[str, str]] = []
     scores: list[float] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
+    for lineno, fields in _tsv_rows(path, 3):
         try:
             score = float(fields[2])
         except ValueError as exc:
@@ -148,13 +151,7 @@ def load_labeled(path: str | Path) -> LabeledSentences:
     labels: list[int] = []
     label_names: list[str] = []
     name_to_id: dict[str, int] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
-        text, name = fields
+    for _, (text, name) in _tsv_rows(path, 2):
         if name not in name_to_id:
             name_to_id[name] = len(label_names)
             label_names.append(name)

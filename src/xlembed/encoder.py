@@ -691,14 +691,29 @@ def _chunk_starts(lengths: list[int], chunks: int) -> list[int]:
     return starts + [len(lengths)]
 
 
-def _check_vocab(vocab: Vocab, config: EncoderConfig) -> None:
-    """Reject a vocabulary whose ids run past the token table. A larger
-    table is fine: its extra rows get no gradient."""
+def _encode_texts(
+    config: EncoderConfig, vocab: Vocab, texts: list[str], max_len: int
+) -> list[list[int]]:
+    """Token ids of texts bound for an encoder of this config: the one way
+    text enters ``train`` and ``embed``.
+
+    ``max_len`` must fit the position table, and the vocabulary's ids the
+    token table (a larger table is fine: its extra rows get no gradient).
+    The first call in a process fixes glibc's heap thresholds, so that the
+    next step, chunk and call reuse the freed pages (see ``_malloc``).
+    """
+    check_count("max_len", max_len, 1)
+    if max_len > config.max_len:
+        raise ValidationError(
+            f"max_len {max_len} exceeds the encoder's position table ({config.max_len})"
+        )
     if vocab.size > config.vocab_size:
         raise ValidationError(
             f"vocabulary has {vocab.size} entries but the encoder's token table "
             f"has {config.vocab_size} rows"
         )
+    _malloc.fix_thresholds()
+    return encode_batch(vocab, texts, max_len)
 
 
 def embed(
@@ -718,20 +733,12 @@ def embed(
     both call ``_embed_tokens``, ``_attention_forward``, ``_ffn_forward`` and
     ``_pool``, but here the halves keep no cache, so each half's activations
     die when it returns and a chunk holds about one layer's working set.
-    The first call in a process fixes glibc's heap thresholds, so that the
-    next chunk and call reuse the freed pages (see ``_malloc``).
+    Text is admitted as ``train`` admits it (see ``_encode_texts``).
     """
     if not texts:
         raise ValidationError("no texts to embed")
-    check_count("max_len", max_len, 1)
-    if max_len > params.config.max_len:
-        raise ValidationError(
-            f"max_len {max_len} exceeds the encoder's position table ({params.config.max_len})"
-        )
     check_count("batch_size", batch_size, 1)
-    _check_vocab(vocab, params.config)
-    _malloc.fix_thresholds()
-    seqs = encode_batch(vocab, texts, max_len)
+    seqs = _encode_texts(params.config, vocab, texts, max_len)
     lengths = [len(seq) for seq in seqs]
     order = sorted(range(len(seqs)), key=lengths.__getitem__)
     starts = _chunk_starts([lengths[i] for i in order], -(-len(seqs) // batch_size))

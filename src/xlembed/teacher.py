@@ -54,14 +54,7 @@ def read_teacher_file(path: str | Path) -> TeacherTable:
         raise FormatError(f"no such file: {p}")
     with open(p, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FormatError(f"{p}: too short to hold a teacher-table header")
-        magic, version, count, dim = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise FormatError(f"{p}: bad magic {magic!r}, expected {_MAGIC!r}")
-        if version != _VERSION:
-            raise FormatError(f"{p}: unsupported format version {version}")
+        count, dim = _read_header(fh, p, _HEADER, _MAGIC, _VERSION, "teacher-table")
         if count < 1 or dim < 1:
             raise FormatError(f"{p}: invalid header counts (count={count}, dim={dim})")
         expected = _HEADER.size + 4 * count * dim
@@ -71,6 +64,22 @@ def read_teacher_file(path: str | Path) -> TeacherTable:
             )
         vectors = _read_f4(fh, (count, dim), p)
     return TeacherTable(embeddings=EmbeddingBatch(vectors=vectors))
+
+
+def _read_header(
+    fh: BinaryIO, p: Path, header: struct.Struct, magic: bytes, version: int, what: str
+) -> list[int]:
+    """Read a header that starts with magic and format version from fh's
+    position and check both; returns the header's remaining fields."""
+    raw = fh.read(header.size)
+    if len(raw) < header.size:
+        raise FormatError(f"{p}: too short to hold a {what} header")
+    found_magic, found_version, *rest = header.unpack(raw)
+    if found_magic != magic:
+        raise FormatError(f"{p}: bad magic {found_magic!r}, expected {magic!r}")
+    if found_version != version:
+        raise FormatError(f"{p}: unsupported format version {found_version}")
+    return rest
 
 
 def _read_f4(fh: BinaryIO, shape: tuple[int, ...], p: Path) -> np.ndarray:

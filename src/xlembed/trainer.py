@@ -26,34 +26,33 @@ from typing import Any
 
 import numpy as np
 
-from . import _malloc
 from .corpus import ParallelCorpus
 from .encoder import (
     EmbeddingBatch,
     EncoderConfig,
     EncoderParams,
-    _check_vocab,
+    _encode_texts,
     backward,
     forward,
     init_params,
 )
 from .errors import FormatError, ValidationError, check_count, check_real
 from .losses import LossResult, mnr_loss, mse_loss
-from .teacher import TeacherTable, _read_f4
-from .tokenizer import Vocab, encode_batch
+from .teacher import TeacherTable, _read_f4, _read_header
+from .tokenizer import Vocab
 
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"BEMB"
 _VERSION = 2
-_HEADER = struct.Struct("<4sI")
+_HEADER = struct.Struct("<4sII")
 _HASH_BYTES = 32
 # adamw_step's slice length: short enough that a block stays in cache
 # through its 15 element-wise passes.
 _ADAMW_BLOCK = 65536
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     """Knobs for one training run; defaults follow the reference recipe."""
 
@@ -175,9 +174,21 @@ def adamw_step(
     in cache.
     Every operation is element-wise, so the blocks give the same bytes as
     whole-buffer passes. ``params`` and ``state`` are updated in place;
-    ``grads`` is only read. A non-finite gradient raises before
-    anything is written.
+    ``grads`` is only read. A gradient of another config or dtype than
+    ``params``, moments of another shape or dtype than ``params.flat``, or
+    a non-finite gradient raises before anything is written.
     """
+    if grads.config != params.config or grads.dtype != params.dtype:
+        raise ValidationError(
+            f"gradients of {grads.config} in {grads.dtype} do not match "
+            f"parameters of {params.config} in {params.dtype}"
+        )
+    for name, moment in (("m", state.m), ("v", state.v)):
+        if moment.shape != params.flat.shape or moment.dtype != params.dtype:
+            raise ValidationError(
+                f"optimizer state {name} has shape {moment.shape} in {moment.dtype}; "
+                f"the parameters need {params.flat.shape} in {params.dtype}"
+            )
     if not np.isfinite(grads.flat).all():
         name = next(n for n, arr in grads.tensors() if not np.isfinite(arr).all())
         raise ValidationError(f"non-finite gradient in {name}; aborting the update")
@@ -258,9 +269,8 @@ def train(
     embeds a batch of source sentences, scores them against the matching
     teacher rows, and applies one AdamW update under the warmup/decay
     schedule. A step's activations are freed before the next step's
-    forward, so training holds one step's cache at a time. The first call
-    in a process fixes glibc's heap thresholds, so that the next step and
-    call reuse the freed pages (see ``_malloc``). The teacher is never
+    forward, so training holds one step's cache at a time. Text is admitted
+    as ``embed`` admits it (see ``_encode_texts``). The teacher is never
     modified. Per-step records (step, epoch, lr, loss) go to
     train_config.log_path when set; the file is closed however the run
     ends. Steps are counted only in the ``OptimizerState``'s ``step_count``.
@@ -277,12 +287,7 @@ def train(
         raise ValidationError(
             f"teacher dimension {teacher.dim} != encoder dimension {enc_config.dim}"
         )
-    if train_config.max_len > enc_config.max_len:
-        raise ValidationError(
-            f"training max_len {train_config.max_len} exceeds the encoder's "
-            f"position table ({enc_config.max_len})"
-        )
-    _check_vocab(vocab, enc_config)
+    seqs = _encode_texts(enc_config, vocab, corpus.sources(), train_config.max_len)
     steps_per_epoch = _plan_epoch(n, train_config)
     if steps_per_epoch < 1:
         raise ValidationError("corpus is too small to form a single usable batch")
@@ -292,11 +297,9 @@ def train(
         )
     total_steps = train_config.epochs * steps_per_epoch
 
-    _malloc.fix_thresholds()
     params = init_params(enc_config)
     grads = params.zeros_like()
     state = OptimizerState.zeros(params)
-    seqs = encode_batch(vocab, corpus.sources(), train_config.max_len)
     rng = np.random.default_rng(train_config.seed)
 
     log_path = train_config.log_path
@@ -333,8 +336,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         separators=(",", ":"),
     ).encode("utf-8")
     parts = [
-        _HEADER.pack(_MAGIC, _VERSION),
-        struct.pack("<I", len(meta_json)),
+        _HEADER.pack(_MAGIC, _VERSION, len(meta_json)),
         meta_json,
         ckpt.vocab_hash,
         ckpt.params.flat.astype("<f4", copy=False).tobytes(),
@@ -348,28 +350,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FormatError(f"no such file: {p}")
     with open(p, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        offset = _HEADER.size + 4
-        head = fh.read(offset)
-        if len(head) < offset:
-            raise FormatError(f"{p}: too short to hold a checkpoint header")
-        magic, version = _HEADER.unpack_from(head)
-        if magic != _MAGIC:
-            raise FormatError(f"{p}: bad magic {magic!r}, expected {_MAGIC!r}")
-        if version != _VERSION:
-            raise FormatError(f"{p}: unsupported format version {version}")
-        (json_len,) = struct.unpack_from("<I", head, _HEADER.size)
-        if offset + json_len + _HASH_BYTES > file_size:
+        (json_len,) = _read_header(fh, p, _HEADER, _MAGIC, _VERSION, "checkpoint")
+        if _HEADER.size + json_len + _HASH_BYTES > file_size:
             raise FormatError(f"{p}: truncated checkpoint (metadata extends past end of file)")
         meta = fh.read(json_len + _HASH_BYTES)
         try:
             payload = json.loads(meta[:json_len].decode("utf-8"))
             config = EncoderConfig(**payload["config"])
             training_meta = payload["training_meta"]
+            if not isinstance(training_meta, dict):
+                raise TypeError(f"training_meta must be an object, got {training_meta!r}")
         except (ValueError, KeyError, TypeError, ValidationError) as exc:
             raise FormatError(f"{p}: invalid checkpoint metadata: {exc}") from exc
         vocab_hash = meta[json_len:]
 
-        size = file_size - offset - json_len - _HASH_BYTES
+        size = file_size - _HEADER.size - json_len - _HASH_BYTES
         expected = 4 * config.n_params
         if size != expected:
             problem = "truncated checkpoint" if size < expected else "trailing bytes after the last tensor"

@@ -409,6 +409,45 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    MODEL = ["--ckpt", "{ckpt}", "--vocab", "{vocab}"]
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (["build-vocab", "--corpus", "{corpus}", "--out", "{out}"],
+             {"corpus": " \t \n\t\n"}, "no usable pairs after cleaning"),
+            (["embed", *MODEL, "--texts", "{texts}", "--out", "{out}"],
+             {"texts": ""}, "contains no text lines"),
+            (["eval-paraphrase", *MODEL, "--pairs", "{pairs}", "--labels", "{labels}"],
+             {"pairs": "a\tb\nc\td\n", "labels": "1\nyes\n"},
+             "line 2: label must be 0 or 1, got 'yes'"),
+            (["eval-paraphrase", *MODEL, "--pairs", "{pairs}"],
+             {"pairs": ""}, "no pairs to evaluate"),
+            (["eval-sts", *MODEL, "--pairs", "{pairs}"], {"pairs": ""}, "no pairs to evaluate"),
+        ],
+        ids=["cleaned-empty-corpus", "empty-texts", "bad-label", "empty-paraphrase-pairs",
+             "empty-sts-pairs"],
+    )
+    def test_unusable_input_exits_two(self, workdir, tmp_path, capsys, argv, files, message):
+        paths = {"ckpt": workdir["ckpt"], "vocab": workdir["vocab"], "out": tmp_path / "out"}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text, encoding="utf-8")
+        assert dispatch([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not paths["out"].exists()
+
+    def test_explicit_format_overrides_the_suffix(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("the cat\tle chat\na dog\tun chien\n", encoding="utf-8")
+        argv = ["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt")]
+        assert dispatch(argv) == 2
+        assert "line 1: invalid JSON" in capsys.readouterr().err
+        assert dispatch(argv + ["--format", "tsv"]) == 0
+        capsys.readouterr()
+        assert "dog" in load_vocab(tmp_path / "v.txt").token_to_id
+
     def test_incompatible_dims_exit_two(self, workdir, tmp_path, capsys):
         code = dispatch([
             "train", "--corpus", str(workdir["corpus"]), "--teacher", str(workdir["teacher"]),

@@ -190,6 +190,16 @@ class TestEvalLoaders:
         assert labeled.label_names == ["politics", "sport"]
         assert labeled.labels == [0, 1, 0]
 
+    def test_tsv_loaders_share_one_field_count_message(self, tmp_path):
+        path = write(tmp_path / "four.tsv", "a\tb\tc\td\n")
+        loaders = [(2, load_parallel), (3, load_scored_pairs), (2, load_labeled)]
+        for n_fields, load in loaders:
+            with pytest.raises(FormatError) as info:
+                load(path)
+            assert str(info.value) == (
+                f"{path}: line 1: expected {n_fields} tab-separated fields, got 4"
+            )
+
     def test_labeled_needs_two_classes(self, tmp_path):
         p = write(tmp_path / "l.tsv", "s1\tonly\ns2\tonly\n")
         with pytest.raises(ValidationError, match="2 distinct classes"):

@@ -243,6 +243,8 @@ class TestForward:
             forward(params, [[2.9, 3]])
         with pytest.raises(ValidationError, match="sequence 1: token ids must be integers"):
             forward(params, [[2], [2**70]])
+        with pytest.raises(ValidationError, match="no texts to embed"):
+            embed(params, tiny_vocab, [], max_len=4)
         with pytest.raises(ValidationError, match="max_len"):
             embed(params, tiny_vocab, ["the"], max_len=tiny_config.max_len + 1)
         for batch_size in (0, -1, 2.0, True):

@@ -17,7 +17,9 @@ from xlembed import (
     EmbeddingBatch,
     EncoderConfig,
     FormatError,
+    ParallelCorpus,
     TeacherTable,
+    ValidationError,
     build_vocab,
     read_teacher_file,
     toy_teacher,
@@ -103,6 +105,12 @@ class TestToyTeacher:
         a = toy_teacher(config, vocab, tiny_corpus)
         b = toy_teacher(config, vocab, tiny_corpus)
         assert np.array_equal(a.embeddings.vectors, b.embeddings.vectors)
+
+    def test_empty_corpus_is_rejected(self, tiny_corpus):
+        vocab = build_vocab(tiny_corpus, side="target")
+        config = EncoderConfig(vocab_size=vocab.size, dim=8, n_layers=1, n_heads=2, max_len=8)
+        with pytest.raises(ValidationError, match="non-empty corpus"):
+            toy_teacher(config, vocab, ParallelCorpus(pairs=[]))
 
     def test_survives_round_trip(self, tiny_corpus, tmp_path):
         vocab = build_vocab(tiny_corpus, side="target")

@@ -35,6 +35,7 @@ from xlembed import (
     save_checkpoint,
     train,
 )
+from xlembed import encoder as encoder_module
 from xlembed import trainer as trainer_module
 
 
@@ -152,6 +153,49 @@ class TestAdamW:
         with pytest.raises(ValidationError, match="ffn_in_w"):
             adamw_step(params, grads, OptimizerState.zeros(params), 1e-3, quick_config())
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "state of a larger encoder",
+            "state shorter than the parameters",
+            "float64 m",
+            "float64 v",
+            "gradients of another config",
+            "float64 gradients",
+        ],
+    )
+    def test_mismatched_buffers_raise_before_any_write(self, case):
+        # More than one 65,536-entry block, so a late failure would leave
+        # the first block updated.
+        config = EncoderConfig(vocab_size=2000, dim=32, n_layers=1, n_heads=2, ffn_mult=2)
+        params = init_params(config)
+        n = params.n_params
+        assert n > trainer_module._ADAMW_BLOCK
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=n).astype(np.float32)
+        v = np.abs(rng.normal(size=n)).astype(np.float32)
+        grads = EncoderParams(config, np.ones(n, dtype=np.float32))
+        if case == "state of a larger encoder":
+            m, v = np.resize(m, n + 80), np.resize(v, n + 80)
+        elif case == "state shorter than the parameters":
+            m, v = m[: n - 2000].copy(), v[: n - 2000].copy()
+        elif case == "float64 m":
+            m = m.astype(np.float64)
+        elif case == "float64 v":
+            v = v.astype(np.float64)
+        elif case == "gradients of another config":
+            # Four heads hold as many scalars as two.
+            grads = EncoderParams(dataclasses.replace(config, n_heads=4), grads.flat)
+        else:
+            grads = EncoderParams(config, grads.flat.astype(np.float64))
+        state = OptimizerState(m, v, step_count=3)
+        before = [params.flat.copy(), m.copy(), v.copy()]
+        with pytest.raises(ValidationError):
+            adamw_step(params, grads, state, 1e-3, quick_config())
+        for after, original in zip([params.flat, state.m, state.v], before):
+            assert after.dtype == original.dtype and after.tobytes() == original.tobytes()
+        assert state.step_count == 3
+
 
 class TestTrainingConfig:
     def test_defaults_are_valid(self):
@@ -194,6 +238,18 @@ class TestTrainingConfig:
         for kwargs in bad:
             with pytest.raises(ValidationError):
                 TrainingConfig(**kwargs)
+
+    def test_fields_cannot_change_after_validation(self):
+        config = TrainingConfig()
+        for name, value in (("loss", "mes"), ("base_lr", -1.0), ("max_len", 128)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        assert config == TrainingConfig()
+        assert dataclasses.replace(config, loss="mnr").loss == "mnr"
+        with pytest.raises(ValidationError, match="loss"):
+            dataclasses.replace(config, loss="mes")
+        with pytest.raises(ValidationError, match="base_lr"):
+            dataclasses.replace(config, base_lr=-1.0)
 
 
 class TestTrain:
@@ -297,6 +353,36 @@ class TestTrain:
         initial = init_params(large).token_embedding[extra]
         assert ckpt.params.token_embedding[extra].tobytes() == initial.tobytes()
         assert ckpt.params.flat.tobytes() != init_params(large).flat.tobytes()
+
+    def test_train_and_embed_admit_text_alike(
+        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher
+    ):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        small = dataclasses.replace(tiny_config, vocab_size=tiny_vocab.size - 1)
+        too_many = f"vocabulary has {tiny_vocab.size} entries but the encoder's token table"
+        cases = [
+            (tiny_config, 7, "max_len 7 exceeds the encoder's position table (6)"),
+            (small, 6, f"{too_many} has {tiny_vocab.size - 1} rows"),
+        ]
+        with mock.patch.object(trainer_module, "forward", counting(forward)), mock.patch.object(
+            encoder_module, "_encode", counting(encoder_module._encode)
+        ):
+            for config, max_len, message in cases:
+                with pytest.raises(ValidationError) as trained:
+                    train(tiny_corpus, random_teacher, tiny_vocab, config,
+                          quick_config(max_len=max_len))
+                with pytest.raises(ValidationError) as embedded:
+                    embed(init_params(config), tiny_vocab, ["the cat sat"], max_len)
+                assert str(trained.value) == str(embedded.value) == message
+        assert calls == []
 
     def test_mnr_path_trains(self, tiny_corpus, tiny_vocab, tiny_config, random_teacher):
         ckpt = train(
@@ -445,6 +531,9 @@ class TestCheckpointFile:
         meta["config"]["vocab_size"] = trained.config.vocab_size
         meta["config"]["seed"] = -1
         negative = json.dumps(meta).encode("utf-8")
+        meta["config"]["seed"] = trained.config.seed
+        meta["training_meta"] = 5
+        scalar_meta = json.dumps(meta).encode("utf-8")
         cases = {
             "bad magic": b"XXXX" + blob[4:],
             "bad version": blob[:4] + struct.pack("<I", 9) + blob[8:],
@@ -459,12 +548,19 @@ class TestCheckpointFile:
             "negative seed": (
                 blob[:8] + struct.pack("<I", len(negative)) + negative + blob[12 + json_len :]
             ),
+            # training_meta["steps"] must not fail later with a TypeError.
+            "scalar training_meta": (
+                blob[:8] + struct.pack("<I", len(scalar_meta)) + scalar_meta + blob[12 + json_len :]
+            ),
         }
         for label, corrupted in cases.items():
             bad = tmp_path / "bad.bemb"
             bad.write_bytes(corrupted)
             with pytest.raises(FormatError):
                 load_checkpoint(bad)
+        bad.write_bytes(cases["scalar training_meta"])
+        with pytest.raises(FormatError, match="invalid checkpoint metadata: training_meta"):
+            load_checkpoint(bad)
 
     def test_golden_checkpoint_digest(
         self, tiny_corpus, tiny_vocab, tiny_config, random_teacher, tmp_path
