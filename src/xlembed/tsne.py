@@ -6,13 +6,29 @@ perplexity; all rows search at once, each step one pass of NumPy calls
 over the rows still searching, in two (N, N-1) buffers allocated once.
 The symmetrized joint matrix P then drives plain momentum gradient descent
 on KL(P || Q) against a Student-t Q, with early exaggeration for the first
-250 iterations. The descent computes in two N x N buffers allocated
-once, so no iteration allocates an N x N array.
+250 iterations.
 
-Both rewrites keep every float of the one-row-at-a-time forms: the
-element-wise ufuncs and each row's pairwise sum give the same bits on a
-2-D array as on one row, and a row whose probabilities underflow to 0
-sums its entropy over its positive entries only, as a 1-D array.
+The descent does its N x N work in two buffers allocated once (the
+Student-t weights, and scratch that ends as the gradient's (p - q) * w),
+and updates the gradient, velocity and layout in place; an iteration
+allocates only the squared norms and the finiteness mask. It computes
+squared distances halved, (|y_i|^2 + |y_j|^2) / 2 - y_i.y_j, so the
+weights 0.5 / (0.5 + d2 / 2) need no pass that doubles the dot products,
+and takes each sum of halved norms h_i + h_j from a rank-2 product with
+a column and a row of ones: its two products are exact, so it rounds once,
+as the element-wise add would, and writes each block in one pass.
+Its element-wise passes and row sums run over blocks of rows of about
+512 KiB, so at 1,000 points, where each N x N array is 8 MB, a block's
+rows stay in cache from one pass to the next. No block size changes a
+float: a block cuts only element-wise passes and per-row sums, while the
+two products (ys @ ys.T and m @ ys) and the sum of all weights run whole,
+since a BLAS product of a block of rows need not round as the whole one.
+
+These rewrites keep every float of the one-row-at-a-time, allocating
+forms: the element-wise ufuncs and each row's pairwise sum give the same
+bits on a 2-D array as on one row, scaling by 2 commutes with rounding,
+and a row whose probabilities underflow to 0 sums its entropy over its
+positive entries only, as a 1-D array.
 
 Internally points are processed in a canonical order (rows sorted
 lexicographically) and each point's initial coordinates are drawn from a
@@ -24,6 +40,7 @@ makes the layout exactly equivariant to row permutation for distinct rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -36,6 +53,10 @@ _PERPLEXITY_TOL_BITS = 1e-3
 _MAX_SEARCH_STEPS = 200
 _EXAGGERATION_STEPS = 250
 _Q_FLOOR = 1e-12
+# The descent's element-wise passes over N x N arrays run on blocks of
+# rows this many bytes of float64 long (at least one row), so each pass's
+# rows stay in cache; 96 and 200 points run as one block.
+_BLOCK_BYTES = 512 * 1024
 
 # Okabe-Ito palette first (colorblind-safe), then four extra hues.
 PALETTE = (
@@ -85,20 +106,23 @@ class Layout2D:
             raise ValidationError(
                 f"{len(self.labels)} labels for {self.points.shape[0]} points"
             )
-        if any(not isinstance(l, int) or l < 0 for l in self.labels):
+        # NumPy integers (as np.unique(..., return_inverse=True) gives) are
+        # integers too; a bool is refused, as check_count refuses it.
+        if any(
+            isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 0
+            for l in self.labels
+        ):
             raise ValidationError("labels must be non-negative integers")
+        self.labels = [int(l) for l in self.labels]
 
 
-def _squared_distances(
-    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared distances between the rows of x, clipped at 0; computed in
-    the N x N arrays out and work when given. The diagonal is left as it
-    comes out (near 0, not exactly): both callers drop or overwrite it."""
+def _squared_distances(x: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of x, clipped at 0. The diagonal
+    is left as it comes out (near 0, not exactly): the caller drops it."""
     sq = (x * x).sum(axis=1)
-    twice_dot = np.matmul(x, x.T, out=work)
+    twice_dot = x @ x.T
     twice_dot *= 2.0
-    d2 = np.empty_like(twice_dot) if out is None else out
+    d2 = np.empty_like(twice_dot)
     d2[...] = sq  # d2[i, j] = sq[j] + sq[i], the same float as sq[i] + sq[j]
     d2 += sq[:, None]
     d2 -= twice_dot
@@ -194,19 +218,59 @@ def _conditional_probabilities(x: np.ndarray, target_bits: float) -> np.ndarray:
     return conditional
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block of an N x N float64 pass: _BLOCK_BYTES of them, at least 1."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 def _student_t_weights(
-    layout: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ys: np.ndarray, w: np.ndarray, scratch: np.ndarray, halves: np.ndarray
 ) -> np.ndarray:
-    w = _squared_distances(layout, out, work)
-    w += 1.0
-    np.divide(1.0, w, out=w)
-    np.fill_diagonal(w, 0.0)
+    """w[i, j] = 1 / (1 + |y_i - y_j|^2) off the diagonal and 0 on it,
+    computed in the N x N array w with the rows of scratch as work space.
+    The (3, N) array halves holds ones in its middle row; its first and
+    last rows are overwritten with the halved squared norms h.
+
+    Computed in halves: (|y_i|^2 + |y_j|^2) / 2 - y_i.y_j, clipped at 0,
+    plus 0.5, into 0.5 / it. Scaling by 2 commutes with rounding and the
+    doubled dot product is exact, so each weight is the float of
+    1 / (1 + d2) with d2 = |y_i|^2 + |y_j|^2 - 2 y_i.y_j, and a halved
+    norm that underflows is absorbed by the + 0.5.
+    """
+    n = ys.shape[0]
+    h = halves[0]
+    sq = ys * ys
+    if sq.shape[1] == 2:
+        # Two terms round once whichever way they are added, so this is
+        # sq.sum(axis=1) bit for bit, without a reduction's per-row cost.
+        np.add(sq[:, 0], sq[:, 1], out=h)
+    else:
+        sq.sum(axis=1, out=h)
+    h *= 0.5
+    halves[2] = h
+    np.matmul(ys, ys.T, out=w)  # the symmetric product: BLAS syrk
+    one_h = halves[1:]
+    step = _block_rows(n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        wb, mb = w[rows], scratch[rows]
+        # mb[i, j] = h_i * 1 + 1 * h_j, from the block's columns (h, 1) and
+        # the rows (1, h): both products are exact, so the BLAS rounds
+        # h_i + h_j once, as np.add would, in one pass over mb.
+        np.matmul(halves[:2, rows].T, one_h, out=mb)
+        np.subtract(mb, wb, out=wb)
+        np.maximum(wb, 0.0, out=wb)
+        wb += 0.5
+        np.divide(0.5, wb, out=wb)
+    w.reshape(-1)[:: n + 1] = 0.0
     return w
 
 
 def kl_divergence(p: np.ndarray, layout: np.ndarray) -> float:
     """KL(P || Q) in nats, where Q is the Student-t distribution of layout."""
-    w = _student_t_weights(np.asarray(layout, dtype=np.float64))
+    layout = np.asarray(layout, dtype=np.float64)
+    n = layout.shape[0]
+    w = _student_t_weights(layout, np.empty((n, n)), np.empty((n, n)), np.ones((3, n)))
     q = np.maximum(w / w.sum(), _Q_FLOOR)
     mask = p > 0.0
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
@@ -220,6 +284,12 @@ def run_tsne(x, config: TsneConfig) -> np.ndarray:
     with P multiplied by the early-exaggeration factor during the first
     250 iterations. The run of k iterations ends on the layout that a
     longer run passes through after its first k.
+
+    Each iteration computes the weights w and m = (p - w / sum(w)) * w in
+    two N x N buffers allocated once, with halved squared distances and in
+    row blocks of _BLOCK_BYTES; the gradient, velocity and layout are
+    updated in place. The layout's bytes do not depend on the block size
+    (see the module docstring).
     """
     x = _check_input(x)
     n = x.shape[0]
@@ -240,26 +310,45 @@ def run_tsne(x, config: TsneConfig) -> np.ndarray:
     velocity = np.zeros_like(ys)
     p_exaggerated = p * config.early_exaggeration
 
-    # Every iteration's N x N work happens in these two buffers.
+    # Every iteration works in these arrays: two N x N, the rest N-long.
     w = np.empty((n, n), dtype=np.float64)
     m = np.empty((n, n), dtype=np.float64)
+    row_sums = np.empty(n, dtype=np.float64)
+    grad = np.empty_like(ys)
+    m_ys = np.empty_like(ys)
+    halves = np.ones((3, n))
+    step = _block_rows(n)
     for iteration in range(config.iterations):
         exaggerating = iteration < _EXAGGERATION_STEPS
         p_used = p_exaggerated if exaggerating else p
         momentum = 0.5 if exaggerating else 0.8
 
-        _student_t_weights(ys, out=w, work=m)
-        np.divide(w, w.sum(), out=m)  # q
-        np.subtract(p_used, m, out=m)
-        m *= w
-        grad = 4.0 * (m.sum(axis=1)[:, None] * ys - m @ ys)
+        # The sum of all weights and m @ ys run whole: a sum of block sums
+        # adds in another order, and a BLAS product of a block of rows need
+        # not round as the whole product does.
+        _student_t_weights(ys, w, m, halves)
+        s = w.sum()
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            wb, mb = w[rows], m[rows]
+            np.divide(wb, s, out=mb)  # q
+            np.subtract(p_used[rows], mb, out=mb)
+            mb *= wb
+            mb.sum(axis=1, out=row_sums[rows])
+        # grad = 4 (row_sums * ys - m @ ys)
+        np.multiply(row_sums[:, None], ys, out=grad)
+        grad -= np.matmul(m, ys, out=m_ys)
+        grad *= 4.0
         if not np.isfinite(grad).all():
             raise ValidationError(
                 f"non-finite t-SNE gradient at iteration {iteration}; "
                 "try a smaller learning rate"
             )
-        velocity = momentum * velocity - config.learning_rate * grad
-        ys = ys + velocity
+        # velocity = momentum * velocity - learning_rate * grad
+        velocity *= momentum
+        grad *= config.learning_rate
+        velocity -= grad
+        ys += velocity
 
     out = np.empty_like(ys)
     out[order] = ys

@@ -257,6 +257,17 @@ class TestLayoutAndRendering:
         with pytest.raises(ValidationError):
             Layout2D(points=np.array([[np.nan, 0.0]]), labels=[0])
 
+    def test_labels_accept_numpy_integers_and_refuse_bools(self):
+        # np.unique(..., return_inverse=True) gives NumPy integers.
+        _, ids = np.unique(["b", "a", "b"], return_inverse=True)
+        layout = Layout2D(points=np.zeros((3, 2)), labels=list(ids))
+        assert layout.labels == [1, 0, 1]
+        assert all(type(l) is int for l in layout.labels)
+        # bool is a subclass of int: True would pass as label 1.
+        for labels in ([True, False], [np.bool_(True), np.bool_(False)], [0.0, 1.0]):
+            with pytest.raises(ValidationError, match="non-negative integers"):
+                Layout2D(points=np.zeros((2, 2)), labels=labels)
+
     def test_palette_is_twelve_hex_colors(self):
         assert len(PALETTE) == 12
         assert len(set(PALETTE)) == 12

@@ -3,20 +3,23 @@
 ``reference_joint_probabilities`` runs each row's bandwidth search on its
 own, summing the entropy over the row's positive entries;
 ``reference_run_tsne`` allocates every N x N temporary afresh in each
-iteration. ``joint_probabilities`` searches all rows at once and
-``run_tsne`` computes in two preallocated buffers; every float they
-produce must be the same.
+iteration and computes whole squared distances. ``joint_probabilities``
+searches all rows at once and ``run_tsne`` computes halved distances in
+two preallocated buffers, in row blocks of ``tsne._BLOCK_BYTES``; every
+float they produce must be the same, whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlembed import TsneConfig, joint_probabilities, run_tsne
+from xlembed import TsneConfig, joint_probabilities, kl_divergence, run_tsne
+from xlembed import tsne
 
 
 def squared_distances(x):
@@ -53,6 +56,19 @@ def reference_joint_probabilities(x, perplexity):
                 beta = beta / 2.0 if lo == 0.0 else (lo + hi) / 2.0
         conditional[i][others[i]] = p
     return (conditional + conditional.T) / (2.0 * n)
+
+
+def reference_kl_divergence(p, layout):
+    w = 1.0 / (1.0 + squared_distances(layout))
+    np.fill_diagonal(w, 0.0)
+    q = np.maximum(w / w.sum(), 1e-12)
+    mask = p > 0.0
+    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+
+
+def block_budget(n, rows):
+    """A tsne._BLOCK_BYTES that cuts N x N arrays into blocks of `rows` rows."""
+    return rows * 8 * n
 
 
 def reference_run_tsne(x, config):
@@ -137,3 +153,76 @@ def test_run_tsne_matches_allocating_loop_across_exaggeration_boundary():
             config = TsneConfig(perplexity=perplexity, iterations=iterations, seed=3)
             expected = reference_run_tsne(x, config)
             assert run_tsne(x, config).tobytes() == expected.tobytes(), iterations
+
+
+@st.composite
+def block_rows(draw, n):
+    """One-row blocks, a ragged last block, or one whole block."""
+    kind = draw(st.sampled_from(["one row", "ragged", "whole"]))
+    if kind == "one row":
+        return 1
+    if kind == "whole":
+        return n
+    return draw(st.integers(2, n - 1).filter(lambda rows: n % rows != 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 48),  # perplexity must lie in (1, (n - 1) / 3): no n below 5 has one
+    d=st.integers(1, 8),
+    kind=st.sampled_from(["gaussian", "clustered", "duplicates"]),
+    log_scale=st.floats(-2.0, 2.0),
+    fraction=st.floats(0.0, 1.0),
+    iterations=st.sampled_from([1, 249, 250, 251, 260]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_run_tsne_matches_allocating_loop_in_any_blocks(
+    n, d, kind, log_scale, fraction, iterations, seed, data
+):
+    x = sample_points(np.random.default_rng(seed), n, d, kind, 10.0**log_scale)
+    upper = (n - 1) / 3.0
+    perplexity = 1.0 + 1e-3 + fraction * (upper - 1.0 - 2e-3)
+    config = TsneConfig(perplexity=perplexity, iterations=iterations, seed=seed % 1000)
+    rows = data.draw(block_rows(n), label="rows")
+    with mock.patch.object(tsne, "_BLOCK_BYTES", block_budget(n, rows)):
+        assert tsne._block_rows(n) == rows
+        layout = run_tsne(x, config)
+    assert layout.tobytes() == reference_run_tsne(x, config).tobytes()
+
+
+def test_blocks_past_the_blas_switch_match_one_block():
+    # At 800 points the default budget cuts 10 blocks of 81 rows. A blocked
+    # m @ ys or sum of all weights would not round as the whole one here.
+    n = 800
+    assert tsne._block_rows(n) < n
+    x = np.random.default_rng(8).normal(size=(n, 4))
+    config = TsneConfig(perplexity=30.0, iterations=3, seed=1)
+    blocked = run_tsne(x, config)
+    with mock.patch.object(tsne, "_BLOCK_BYTES", block_budget(n, n)):
+        assert tsne._block_rows(n) == n
+        whole = run_tsne(x, config)
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 3),
+    log_scale=st.floats(-6.0, 3.0),
+    zero_fraction=st.floats(0.0, 0.9),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kl_divergence_keeps_its_float(n, d, log_scale, zero_fraction, rows, seed):
+    rng = np.random.default_rng(seed)
+    layout = rng.normal(size=(n, d)) * 10.0**log_scale
+    p = rng.random((n, n))
+    p[rng.random((n, n)) < zero_fraction] = 0.0
+    p = p + p.T
+    np.fill_diagonal(p, 0.0)
+    p /= max(p.sum(), 1.0)
+    expected = reference_kl_divergence(p, layout)
+    with mock.patch.object(tsne, "_BLOCK_BYTES", block_budget(n, rows)):
+        got = kl_divergence(p, layout)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
