@@ -8,21 +8,25 @@ The symmetrized joint matrix P then drives plain momentum gradient descent
 on KL(P || Q) against a Student-t Q, with early exaggeration for the first
 250 iterations.
 
+One kernel, _halved_distances, forms every pairwise squared distance, for
+the search, the descent and kl_divergence. It computes them halved,
+(|x_i|^2 + |x_j|^2) / 2 - x_i.x_j, clipped at 0, and takes each sum of
+halved norms h_i + h_j from a rank-2 product with a column and a row of
+ones: its two products are exact, so it rounds once, as the element-wise
+add would, and writes each block in one pass. The search doubles the
+halved distances once; the descent turns them into the weights
+0.5 / (0.5 + d2 / 2), with no pass that doubles the dot products.
+
 The descent does its N x N work in two buffers allocated once (the
 Student-t weights, and scratch that ends as the gradient's (p - q) * w),
 and updates the gradient, velocity and layout in place; an iteration
-allocates only the squared norms and the finiteness mask. It computes
-squared distances halved, (|y_i|^2 + |y_j|^2) / 2 - y_i.y_j, so the
-weights 0.5 / (0.5 + d2 / 2) need no pass that doubles the dot products,
-and takes each sum of halved norms h_i + h_j from a rank-2 product with
-a column and a row of ones: its two products are exact, so it rounds once,
-as the element-wise add would, and writes each block in one pass.
-Its element-wise passes and row sums run over blocks of rows of about
+allocates only the squared norms and the finiteness mask. The kernel's
+element-wise passes, and the descent's, run over blocks of rows of about
 512 KiB, so at 1,000 points, where each N x N array is 8 MB, a block's
 rows stay in cache from one pass to the next. No block size changes a
 float: a block cuts only element-wise passes and per-row sums, while the
-two products (ys @ ys.T and m @ ys) and the sum of all weights run whole,
-since a BLAS product of a block of rows need not round as the whole one.
+products x @ x.T and m @ ys and the sum of all weights run whole, since a
+BLAS product of a block of rows need not round as the whole one.
 
 These rewrites keep every float of the one-row-at-a-time, allocating
 forms: the element-wise ufuncs and each row's pairwise sum give the same
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -116,20 +121,6 @@ class Layout2D:
         self.labels = [int(l) for l in self.labels]
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of x, clipped at 0. The diagonal
-    is left as it comes out (near 0, not exactly): the caller drops it."""
-    sq = (x * x).sum(axis=1)
-    twice_dot = x @ x.T
-    twice_dot *= 2.0
-    d2 = np.empty_like(twice_dot)
-    d2[...] = sq  # d2[i, j] = sq[j] + sq[i], the same float as sq[i] + sq[j]
-    d2 += sq[:, None]
-    d2 -= twice_dot
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _check_input(x, min_points: int = 3) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -170,11 +161,18 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
 def _conditional_probabilities(x: np.ndarray, target_bits: float) -> np.ndarray:
     """The (N, N-1) matrix of p(j | i) over j != i, from the bandwidth search.
 
-    Its own function, so its N x (N-1) work arrays are freed before
+    Its squared distances are _halved_distances' values, doubled once per
+    block: exact, since scaling by 2 commutes with rounding, unless a
+    halved norm is subnormal (coordinates below about 1e-154). Its own
+    function, so its N x (N-1) work arrays are freed before
     joint_probabilities allocates the N x N ones.
     """
     n = x.shape[0]
-    neg = _squared_distances(x)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    d2 = np.empty((n, n))
+    for block in _halved_distances(x, d2, np.empty((n, n)), np.ones((3, n))):
+        block *= 2.0
+    neg = d2[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    del d2, block  # free d2 (block is a view of it) before the search allocates
     np.subtract(neg.min(axis=1, keepdims=True), neg, out=neg)  # -(d2 - row min), bit for bit
     rows = np.arange(n)  # the rows still searching
     beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, math.inf)
@@ -223,23 +221,22 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def _student_t_weights(
-    ys: np.ndarray, w: np.ndarray, scratch: np.ndarray, halves: np.ndarray
-) -> np.ndarray:
-    """w[i, j] = 1 / (1 + |y_i - y_j|^2) off the diagonal and 0 on it,
-    computed in the N x N array w with the rows of scratch as work space.
-    The (3, N) array halves holds ones in its middle row; its first and
-    last rows are overwritten with the halved squared norms h.
+def _halved_distances(
+    x: np.ndarray, out: np.ndarray, scratch: np.ndarray, halves: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Write max((|x_i|^2 + |x_j|^2) / 2 - x_i.x_j, 0), half the squared
+    distance between rows i and j of x, into the N x N array out, one block
+    of _block_rows(N) rows at a time, and yield each block (a view of out)
+    once written, so the caller can finish it while it is in cache. The
+    diagonal is left as it comes out (near 0, not exactly).
 
-    Computed in halves: (|y_i|^2 + |y_j|^2) / 2 - y_i.y_j, clipped at 0,
-    plus 0.5, into 0.5 / it. Scaling by 2 commutes with rounding and the
-    doubled dot product is exact, so each weight is the float of
-    1 / (1 + d2) with d2 = |y_i|^2 + |y_j|^2 - 2 y_i.y_j, and a halved
-    norm that underflows is absorbed by the + 0.5.
+    The rows of scratch are work space. The (3, N) array halves holds ones
+    in its middle row; its first and last rows are overwritten with the
+    halved squared norms h.
     """
-    n = ys.shape[0]
+    n = x.shape[0]
     h = halves[0]
-    sq = ys * ys
+    sq = x * x
     if sq.shape[1] == 2:
         # Two terms round once whichever way they are added, so this is
         # sq.sum(axis=1) bit for bit, without a reduction's per-row cost.
@@ -248,28 +245,48 @@ def _student_t_weights(
         sq.sum(axis=1, out=h)
     h *= 0.5
     halves[2] = h
-    np.matmul(ys, ys.T, out=w)  # the symmetric product: BLAS syrk
-    one_h = halves[1:]
+    np.matmul(x, x.T, out=out)  # whole, the symmetric product: BLAS syrk
     step = _block_rows(n)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        wb, mb = w[rows], scratch[rows]
-        # mb[i, j] = h_i * 1 + 1 * h_j, from the block's columns (h, 1) and
+        ob, sb = out[rows], scratch[rows]
+        # sb[i, j] = h_i * 1 + 1 * h_j, from the block's columns (h, 1) and
         # the rows (1, h): both products are exact, so the BLAS rounds
-        # h_i + h_j once, as np.add would, in one pass over mb.
-        np.matmul(halves[:2, rows].T, one_h, out=mb)
-        np.subtract(mb, wb, out=wb)
-        np.maximum(wb, 0.0, out=wb)
+        # h_i + h_j once, as np.add would, in one pass over sb.
+        np.matmul(halves[:2, rows].T, halves[1:], out=sb)
+        np.subtract(sb, ob, out=ob)
+        np.maximum(ob, 0.0, out=ob)
+        yield ob
+
+
+def _student_t_weights(
+    ys: np.ndarray, w: np.ndarray, scratch: np.ndarray, halves: np.ndarray
+) -> np.ndarray:
+    """w[i, j] = 1 / (1 + |y_i - y_j|^2) off the diagonal and 0 on it,
+    computed in the N x N array w from _halved_distances(ys, w, scratch,
+    halves), each block plus 0.5, into 0.5 / it: the float of 1 / (1 + d2),
+    and a halved value that underflows is absorbed by the + 0.5.
+    """
+    for wb in _halved_distances(ys, w, scratch, halves):
         wb += 0.5
         np.divide(0.5, wb, out=wb)
-    w.reshape(-1)[:: n + 1] = 0.0
+    w.reshape(-1)[:: ys.shape[0] + 1] = 0.0
     return w
 
 
 def kl_divergence(p: np.ndarray, layout: np.ndarray) -> float:
-    """KL(P || Q) in nats, where Q is the Student-t distribution of layout."""
-    layout = np.asarray(layout, dtype=np.float64)
+    """KL(P || Q) in nats, where Q is the Student-t distribution of layout.
+
+    Raises ValidationError unless layout is N x d with N >= 2 and finite
+    values, and p is N x N with finite, non-negative values.
+    """
+    layout = _check_input(layout, min_points=2)
     n = layout.shape[0]
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (n, n):
+        raise ValidationError(f"P must be {n} x {n} for {n} points, got shape {p.shape}")
+    if not (np.isfinite(p).all() and (p >= 0.0).all()):
+        raise ValidationError("P must hold finite, non-negative values")
     w = _student_t_weights(layout, np.empty((n, n)), np.empty((n, n)), np.ones((3, n)))
     q = np.maximum(w / w.sum(), _Q_FLOOR)
     mask = p > 0.0

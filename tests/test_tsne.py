@@ -169,6 +169,27 @@ class TestKlDivergence:
         for _ in range(10):
             assert kl_divergence(p, rng.normal(size=(10, 2))) >= -1e-12
 
+    @pytest.mark.parametrize(
+        "case", ["layout of 4 points", "1-D layout", "NaN in layout", "NaN in P", "negative P"]
+    )
+    def test_rejects_bad_inputs(self, case):
+        rng = np.random.default_rng(44)
+        p = joint_probabilities(rng.normal(size=(5, 3)), perplexity=2.0)
+        layout = rng.normal(size=(5, 2))
+        match = "finite, non-negative"
+        if case == "layout of 4 points":
+            layout, match = layout[:4], r"4 x 4 for 4 points, got shape \(5, 5\)"
+        elif case == "1-D layout":
+            layout, match = layout[:, 0], "2-D"
+        elif case == "NaN in layout":
+            layout[2, 1], match = np.nan, "non-finite"
+        elif case == "NaN in P":
+            p[1, 3] = np.nan
+        else:
+            p[1, 3] = -p[1, 3]
+        with pytest.raises(ValidationError, match=match):
+            kl_divergence(p, layout)
+
 
 class TestRunTsne:
     def test_shape_and_determinism(self):

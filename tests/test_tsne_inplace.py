@@ -4,9 +4,11 @@
 own, summing the entropy over the row's positive entries;
 ``reference_run_tsne`` allocates every N x N temporary afresh in each
 iteration and computes whole squared distances. ``joint_probabilities``
-searches all rows at once and ``run_tsne`` computes halved distances in
-two preallocated buffers, in row blocks of ``tsne._BLOCK_BYTES``; every
-float they produce must be the same, whatever the block size.
+searches all rows at once and ``run_tsne`` works in two preallocated
+buffers; both take their squared distances from one kernel that computes
+them halved, in row blocks of ``tsne._BLOCK_BYTES``, and the search
+doubles them once. Every float they produce must be the same, whatever
+the block size.
 """
 
 from __future__ import annotations
@@ -71,6 +73,17 @@ def block_budget(n, rows):
     return rows * 8 * n
 
 
+@st.composite
+def block_rows(draw, n):
+    """One-row blocks, a ragged last block, or one whole block."""
+    kind = draw(st.sampled_from(["one row", "ragged", "whole"]))
+    if kind == "one row":
+        return 1
+    if kind == "whole":
+        return n
+    return draw(st.integers(2, n - 1).filter(lambda rows: n % rows != 0))
+
+
 def reference_run_tsne(x, config):
     """The descent loop with fresh arrays for every N x N temporary."""
     n = x.shape[0]
@@ -125,13 +138,20 @@ def pick_perplexity(n, where, fraction):
     where=st.sampled_from(["low", "high", "anywhere"]),
     fraction=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_joint_probabilities_match_per_row_search(n, d, kind, log_scale, where, fraction, seed):
+def test_joint_probabilities_match_per_row_search(
+    n, d, kind, log_scale, where, fraction, seed, data
+):
     x = sample_points(np.random.default_rng(seed), n, d, kind, 10.0**log_scale)
     perplexity = pick_perplexity(n, where, fraction)
     assert 1.0 < perplexity <= n - 1
     expected = reference_joint_probabilities(x, perplexity)
-    assert joint_probabilities(x, perplexity).tobytes() == expected.tobytes()
+    rows = data.draw(block_rows(n), label="rows")
+    with mock.patch.object(tsne, "_BLOCK_BYTES", block_budget(n, rows)):
+        assert tsne._block_rows(n) == rows
+        p = joint_probabilities(x, perplexity)
+    assert p.tobytes() == expected.tobytes()
 
 
 def test_underflowing_rows_match_per_row_search():
@@ -153,17 +173,6 @@ def test_run_tsne_matches_allocating_loop_across_exaggeration_boundary():
             config = TsneConfig(perplexity=perplexity, iterations=iterations, seed=3)
             expected = reference_run_tsne(x, config)
             assert run_tsne(x, config).tobytes() == expected.tobytes(), iterations
-
-
-@st.composite
-def block_rows(draw, n):
-    """One-row blocks, a ragged last block, or one whole block."""
-    kind = draw(st.sampled_from(["one row", "ragged", "whole"]))
-    if kind == "one row":
-        return 1
-    if kind == "whole":
-        return n
-    return draw(st.integers(2, n - 1).filter(lambda rows: n % rows != 0))
 
 
 @settings(max_examples=40, deadline=None)
