@@ -9,7 +9,7 @@ commands read their datasets verbatim because labels align by line.
 A flag left out takes the default of what it feeds: ``TrainingConfig``,
 ``TsneConfig``, ``EncoderConfig``, ``build_vocab``, ``preprocess`` or
 ``paraphrase_accuracy``. The CLI sets only the model sizes of toy-teacher
-and train (whose ``--dim`` falls back to the teacher's) and its own flags.
+and train and its own flags. ``train`` takes its width from the teacher.
 
 ``dispatch`` parses with one parser per process, built on its first call;
 ``build_parser`` returns a new one. Only the ``_cmd_*`` handlers are bound
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -42,9 +41,10 @@ from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 from .trainer import Checkpoint, TrainingConfig, load_checkpoint, save_checkpoint, train
 from .tsne import Layout2D, TsneConfig, check_scatter_labels, render_scatter, run_tsne
 
-# EncoderConfig field -> flag, for the commands that build an encoder.
-ENCODER_FLAGS = {"dim": "--dim", "n_layers": "--layers", "n_heads": "--heads",
-                 "ffn_mult": "--ffn-mult", "max_len": "--max-len", "seed": "--seed"}
+# EncoderConfig field -> flag, for the commands that build an encoder. The
+# width is not among them: train takes the teacher's, toy-teacher has --dim.
+ENCODER_FLAGS = {"n_layers": "--layers", "n_heads": "--heads", "ffn_mult": "--ffn-mult",
+                 "max_len": "--max-len", "seed": "--seed"}
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -98,18 +98,16 @@ def _read_binary_labels(path: str, expected: int) -> list[int]:
 
 def _cmd_build_vocab(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(args)
-    options = _given(args, "side", "max_size", "min_freq")
-    vocab = build_vocab(corpus, **options)
+    vocab = build_vocab(corpus, **_given(args, "max_size", "min_freq"))
     save_vocab(vocab, args.out)
-    side = options.get("side", inspect.signature(build_vocab).parameters["side"].default)
-    print(f"wrote {vocab.size}-entry vocabulary ({side} side) to {args.out}")
+    print(f"wrote {vocab.size}-entry vocabulary (source side) to {args.out}")
     return 0
 
 
 def _cmd_toy_teacher(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(args)
     vocab = build_vocab(corpus, side="target", **_given(args, "max_size", "min_freq"))
-    config = EncoderConfig(vocab_size=vocab.size, **_given(args, *ENCODER_FLAGS))
+    config = EncoderConfig(vocab_size=vocab.size, **_given(args, "dim", *ENCODER_FLAGS))
     table = toy_teacher(config, vocab, corpus)
     write_teacher_file(table, args.out)
     print(f"wrote {table.count} x {table.dim} teacher table to {args.out}")
@@ -120,8 +118,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(args)
     teacher = read_teacher_file(args.teacher)
     vocab = load_vocab(args.vocab)
-    sizes = {"dim": teacher.dim, **_given(args, *ENCODER_FLAGS)}
-    enc_config = EncoderConfig(vocab_size=vocab.size, **sizes)
+    enc_config = EncoderConfig(vocab_size=vocab.size, dim=teacher.dim,
+                               **_given(args, *ENCODER_FLAGS))
     train_config = TrainingConfig(**_given(args, *(f.name for f in fields(TrainingConfig))))
     ckpt = train(corpus, teacher, vocab, enc_config, train_config)
     save_checkpoint(ckpt, args.out)
@@ -213,14 +211,11 @@ def _add_corpus_options(p: argparse.ArgumentParser) -> None:
                    help="drop pairs with a side longer than this many characters")
 
 
-def _add_encoder_options(
-    p: argparse.ArgumentParser, dim_help: str | None = None, **defaults: int
-) -> None:
-    """The six EncoderConfig flags; defaults holds this command's own."""
+def _add_encoder_options(p: argparse.ArgumentParser, **defaults: int) -> None:
+    """The ENCODER_FLAGS; defaults holds this command's own."""
     for dest, flag in ENCODER_FLAGS.items():
         p.add_argument(flag, type=int, dest=dest, metavar=flag[2:].upper().replace("-", "_"),
-                       default=defaults.get(dest, argparse.SUPPRESS),
-                       help=dim_help if dest == "dim" else None)
+                       default=defaults.get(dest, argparse.SUPPRESS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,10 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         # A flag left out stays absent from args, so the library default applies.
         return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
-    p = command("build-vocab", "build a word vocabulary from one side of a parallel corpus")
+    p = command("build-vocab", "build a word vocabulary from a parallel corpus's source side")
     _add_corpus_options(p)
     p.add_argument("--out", required=True, help="vocabulary file to write")
-    p.add_argument("--side", choices=("source", "target"))
     p.add_argument("--max-size", type=int)
     p.add_argument("--min-freq", type=int)
     p.set_defaults(handler=_cmd_build_vocab)
@@ -247,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(stand-in teacher for closed-loop runs)")
     _add_corpus_options(p)
     p.add_argument("--out", required=True, help="teacher table file to write")
-    _add_encoder_options(p, dim=32, n_layers=1, n_heads=4, ffn_mult=2)
+    p.add_argument("--dim", type=int, default=32)
+    _add_encoder_options(p, n_layers=1, n_heads=4, ffn_mult=2)
     p.add_argument("--vocab-max-size", type=int, dest="max_size", metavar="VOCAB_MAX_SIZE")
     p.add_argument("--vocab-min-freq", type=int, dest="min_freq", metavar="VOCAB_MIN_FREQ")
     p.set_defaults(handler=_cmd_toy_teacher)
@@ -267,10 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta2", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--scale", type=float, help="logit multiplier for the ranking loss")
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction)
     p.add_argument("--log", dest="log_path", metavar="LOG", help="per-step training log (TSV)")
-    _add_encoder_options(p, dim_help="student dimension (default: match the teacher)",
-                         n_layers=2, n_heads=4)
+    _add_encoder_options(p, n_layers=2, n_heads=4)
     p.set_defaults(handler=_cmd_train)
 
     p = command("embed", "embed one sentence per line into a teacher-format file")

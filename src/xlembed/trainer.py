@@ -68,7 +68,6 @@ class TrainingConfig:
     scale: float = 20.0
     max_len: int = 64
     seed: int = 0
-    shuffle: bool = True
     log_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -76,8 +75,6 @@ class TrainingConfig:
             raise ValidationError(f"loss must be 'mse' or 'mnr', got {self.loss!r}")
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("max_len", 1), ("seed", 0)):
             check_count(name, getattr(self, name), minimum)
-        if not isinstance(self.shuffle, bool):
-            raise ValidationError(f"shuffle must be a bool, got {self.shuffle!r}")
         for name in ("base_lr", "warmup_ratio", "weight_decay", "beta1", "beta2", "eps", "scale"):
             check_real(name, getattr(self, name))
         if self.loss == "mnr" and self.batch_size < 2:
@@ -224,14 +221,6 @@ def adamw_step(
     state.step_count = t
 
 
-def _plan_epoch(n_pairs: int, config: TrainingConfig) -> int:
-    """Number of optimizer steps per epoch, accounting for the tail batch."""
-    batches = math.ceil(n_pairs / config.batch_size)
-    if config.loss == "mnr" and n_pairs % config.batch_size == 1:
-        batches -= 1
-    return batches
-
-
 def _step(
     params: EncoderParams,
     grads: EncoderParams,
@@ -265,8 +254,9 @@ def train(
 ) -> Checkpoint:
     """Distill the teacher table into a freshly initialized student encoder.
 
-    Row i of the teacher must describe pair i of the corpus. Each step
-    embeds a batch of source sentences, scores them against the matching
+    Row i of the teacher must describe pair i of the corpus. Each epoch
+    visits the pairs in a fresh permutation drawn from the seeded RNG. Each
+    step embeds a batch of source sentences, scores them against the matching
     teacher rows, and applies one AdamW update under the warmup/decay
     schedule. A step's activations are freed before the next step's
     forward, so training holds one step's cache at a time. Text is admitted
@@ -288,10 +278,11 @@ def train(
             f"teacher dimension {teacher.dim} != encoder dimension {enc_config.dim}"
         )
     seqs = _encode_texts(enc_config, vocab, corpus.sources(), train_config.max_len)
-    steps_per_epoch = _plan_epoch(n, train_config)
+    singleton_tail = train_config.loss == "mnr" and n % train_config.batch_size == 1
+    steps_per_epoch = math.ceil(n / train_config.batch_size) - singleton_tail
     if steps_per_epoch < 1:
         raise ValidationError("corpus is too small to form a single usable batch")
-    if train_config.loss == "mnr" and n % train_config.batch_size == 1:
+    if singleton_tail:
         logger.warning(
             "final batch of each epoch has a single pair and no negatives; skipping it"
         )
@@ -306,7 +297,7 @@ def train(
     loss_value = float("nan")
     with open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext() as log_fh:
         for epoch in range(train_config.epochs):
-            order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+            order = rng.permutation(n)
             for b in range(steps_per_epoch):
                 idx = order[b * train_config.batch_size : (b + 1) * train_config.batch_size]
                 batch, target_rows = [seqs[i] for i in idx], teacher.embeddings.vectors[idx]

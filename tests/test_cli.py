@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -30,7 +31,7 @@ from xlembed import (
     spearman,
     write_teacher_file,
 )
-from xlembed.cli import dispatch
+from xlembed.cli import build_parser, dispatch
 
 SOURCES = [
     "the cat sat on the mat",
@@ -336,15 +337,45 @@ def test_flags_reach_the_library(workdir, tmp_path, monkeypatch, argv, patched, 
     assert pick(*calls[0]) == expected
 
 
+def test_each_flag_sets_one_config_field():
+    # _given reads flags by field name, so a flag whose field is gone would
+    # be dropped silently, and a field without a flag is out of the CLI's reach.
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def settings(command: str, *io: str) -> set[str]:
+        return {a.dest for a in commands.choices[command]._actions} - {"help", *io}
+
+    def names(config: type) -> set[str]:
+        return {f.name for f in dataclasses.fields(config)}
+
+    corpus_io = ("corpus", "format", "min_chars", "max_chars", "out")
+    assert settings("train", *corpus_io, "teacher", "vocab") == (
+        names(TrainingConfig) | names(EncoderConfig) - {"vocab_size", "dim"}
+    )
+    assert settings("toy-teacher", *corpus_io) == (
+        names(EncoderConfig) - {"vocab_size"} | {"max_size", "min_freq"}
+    )
+    assert settings("tsne", "embeddings", "labels", "out") == names(TsneConfig)
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         capsys.readouterr()
 
-    def test_usage_errors_exit_one(self, capsys):
+    def test_usage_errors_exit_one(self, workdir, tmp_path, capsys):
         assert dispatch([]) == 1
         assert dispatch(["no-such-command"]) == 1
         assert dispatch(["build-vocab"]) == 1  # missing required flags
+        # train takes the teacher's width and shuffles every epoch;
+        # build-vocab reads the source side. None of these is a setting.
+        paths = _io(workdir, tmp_path)
+        build_vocab = ["build-vocab", "--corpus", "{corpus}", "--out", "{out}"]
+        for argv in (TRAIN + ["--dim", "16"], TRAIN + ["--shuffle"], TRAIN + ["--no-shuffle"],
+                     build_vocab + ["--side", "source"]):
+            assert dispatch([arg.format(**paths) for arg in argv]) == 1
+        assert not Path(paths["out"]).exists()
         capsys.readouterr()
 
     def test_missing_corpus_exits_two(self, tmp_path, capsys):
@@ -452,7 +483,7 @@ class TestExitCodes:
         code = dispatch([
             "train", "--corpus", str(workdir["corpus"]), "--teacher", str(workdir["teacher"]),
             "--vocab", str(workdir["vocab"]), "--out", str(tmp_path / "m.bemb"),
-            "--loss", "mse", "--dim", "15", "--heads", "2",
+            "--loss", "mse", "--heads", "3",  # 16 % 3 != 0
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from xlembed import (
     Checkpoint,
@@ -51,6 +53,12 @@ def quick_config(**overrides):
     base = dict(loss="mse", epochs=2, batch_size=2, base_lr=1e-3, max_len=6, seed=0)
     base.update(overrides)
     return TrainingConfig(**base)
+
+
+STEP_VOCAB = build_vocab(ParallelCorpus(pairs=[(f"w{i}", "x") for i in range(12)]), side="source")
+STEP_CONFIG = EncoderConfig(
+    vocab_size=STEP_VOCAB.size, dim=4, n_layers=1, n_heads=1, ffn_mult=1, max_len=6
+)
 
 
 class TestSchedule:
@@ -232,8 +240,6 @@ class TestTrainingConfig:
             dict(base_lr="1"),
             dict(eps=None),
             dict(beta1=True),
-            dict(shuffle="no"),
-            dict(shuffle=0),
         ]
         for kwargs in bad:
             with pytest.raises(ValidationError):
@@ -411,6 +417,41 @@ class TestTrain:
         # ceil(5 / 2) = 3 batches, minus the unusable single-pair tail.
         assert ckpt.training_meta["steps"] == 3 * 2
         assert any("skipping" in rec.message for rec in caplog.records)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        batch_size=st.integers(1, 5),
+        loss=st.sampled_from(["mse", "mnr"]),
+        epochs=st.integers(1, 2),
+    )
+    @example(n=1, batch_size=2, loss="mnr", epochs=1)
+    @example(n=3, batch_size=2, loss="mnr", epochs=1)
+    @example(n=3, batch_size=2, loss="mse", epochs=1)
+    def test_every_batch_is_a_step_but_the_ranking_losss_singleton_tail(
+        self, n, batch_size, loss, epochs
+    ):
+        assume(loss == "mse" or batch_size >= 2)
+        corpus = ParallelCorpus(pairs=[(f"w{i}", f"t{i}") for i in range(n)])
+        rows = np.random.default_rng(n).normal(size=(n, STEP_CONFIG.dim)).astype(np.float32)
+        teacher = TeacherTable(embeddings=EmbeddingBatch(vectors=rows))
+        config = quick_config(loss=loss, batch_size=batch_size, epochs=epochs)
+        tail = loss == "mnr" and n % batch_size == 1
+        warnings: list[logging.LogRecord] = []
+        handler = logging.Handler()
+        handler.emit = warnings.append
+        trainer_module.logger.addHandler(handler)
+        try:
+            if loss == "mnr" and n == 1:
+                with pytest.raises(ValidationError, match="single usable batch"):
+                    train(corpus, teacher, STEP_VOCAB, STEP_CONFIG, config)
+            else:
+                ckpt = train(corpus, teacher, STEP_VOCAB, STEP_CONFIG, config)
+                assert ckpt.training_meta["steps"] == epochs * (math.ceil(n / batch_size) - tail)
+        finally:
+            trainer_module.logger.removeHandler(handler)
+        # A run with no step left raises before it drops anything.
+        assert any("skipping" in rec.getMessage() for rec in warnings) == (tail and n > 1)
 
     def test_steps_reuse_one_gradient_buffer_and_update_params_in_place(
         self, tiny_corpus, tiny_vocab, tiny_config, random_teacher
