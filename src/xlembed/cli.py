@@ -25,10 +25,11 @@ import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from .corpus import (
-    ParallelCorpus, load_labeled, load_parallel, load_scored_pairs, preprocess, read_lines
+    ParallelCorpus, ScoredPairs, load_labeled, load_parallel, load_scored_pairs, preprocess,
+    read_lines,
 )
 from .encoder import EmbeddingBatch, EncoderConfig, embed
 from .errors import ToolkitError, ValidationError
@@ -140,16 +141,22 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate(args: argparse.Namespace, model: tuple[Checkpoint, Vocab], task: str,
-              pairs: list[tuple[str, str]], metrics: Callable[..., dict[str, float]]) -> int:
-    """Embed both sides in one timed pass, score them, print and write the report."""
-    ckpt, vocab = model
-    texts = [a for a, _ in pairs] + [b for _, b in pairs]
+def _evaluate(args: argparse.Namespace, task: str, read_pairs: Callable[[str], Any],
+              metrics: Callable[..., dict[str, float]]) -> int:
+    """Load the model, then ``read_pairs(args.pairs)``, whose pairs must not
+    be empty; embed both sides in one timed pass, score them with
+    ``metrics(data, a, b)``, print and write the report."""
+    ckpt, vocab = _load_model(args)
+    data = read_pairs(args.pairs)
+    n = len(data.pairs)
+    if n == 0:
+        raise ValidationError(f"{args.pairs}: no pairs to evaluate")
+    texts = [a for a, _ in data.pairs] + [b for _, b in data.pairs]
     both, seconds = time_inference(ckpt.params, vocab, texts, ckpt.config.max_len)
-    emb_a = EmbeddingBatch(vectors=both.vectors[: len(pairs)])
-    emb_b = EmbeddingBatch(vectors=both.vectors[len(pairs) :])
-    report = EvalReport(task=task, inference_seconds=seconds, n_items=len(pairs),
-                        **metrics(emb_a, emb_b))
+    emb_a = EmbeddingBatch(vectors=both.vectors[:n])
+    emb_b = EmbeddingBatch(vectors=both.vectors[n:])
+    report = EvalReport(task=task, inference_seconds=seconds, n_items=n,
+                        **metrics(data, emb_a, emb_b))
     print(report.to_json())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -157,31 +164,26 @@ def _evaluate(args: argparse.Namespace, model: tuple[Checkpoint, Vocab], task: s
 
 
 def _cmd_eval_paraphrase(args: argparse.Namespace) -> int:
-    model = _load_model(args)
-    pairs = load_parallel(args.pairs, _infer_format(args.pairs, args.format)).pairs
-    if len(pairs) == 0:
-        raise ValidationError(f"{args.pairs}: no pairs to evaluate")
-    labels = _read_binary_labels(args.labels, len(pairs)) if args.labels else [1] * len(pairs)
-    return _evaluate(args, model, "paraphrase", pairs, lambda a, b: {
-        "mcs": mean_cosine_similarity(a, b),
-        "accuracy": paraphrase_accuracy(a, b, labels, **_given(args, "threshold")),
-    })
+    def metrics(corpus: ParallelCorpus, a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
+        labels = _read_binary_labels(args.labels, a.count) if args.labels else [1] * a.count
+        return {
+            "mcs": mean_cosine_similarity(a, b),
+            "accuracy": paraphrase_accuracy(a, b, labels, **_given(args, "threshold")),
+        }
+
+    return _evaluate(args, "paraphrase", lambda p: load_parallel(p, _infer_format(p, args.format)),
+                     metrics)
 
 
 def _cmd_eval_sts(args: argparse.Namespace) -> int:
-    model = _load_model(args)
-    scored = load_scored_pairs(args.pairs)
-    if len(scored.pairs) == 0:
-        raise ValidationError(f"{args.pairs}: no pairs to evaluate")
-
-    def correlations(a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
+    def correlations(scored: ScoredPairs, a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
         cosines = _paired_cosines(a, b)
         return {
             "pearson_r": pearson(cosines, scored.scores),
             "spearman_rho": spearman(cosines, scored.scores),
         }
 
-    return _evaluate(args, model, "sts", scored.pairs, correlations)
+    return _evaluate(args, "sts", load_scored_pairs, correlations)
 
 
 def _cmd_tsne(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .encoder import EmbeddingBatch, EncoderParams, embed
 from .errors import ValidationError, check_real
-from .losses import cosine
+from .losses import _aligned, _row_cosines
 from .tokenizer import Vocab
 
 
@@ -45,11 +45,7 @@ class EvalReport:
 
 
 def _paired_cosines(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:
-    if a.count != b.count or a.dim != b.dim:
-        raise ValidationError(
-            f"batches are misaligned: ({a.count}, {a.dim}) vs ({b.count}, {b.dim})"
-        )
-    return np.asarray([cosine(u, v) for u, v in zip(a.vectors, b.vectors)], dtype=np.float64)
+    return _row_cosines(*_aligned(a, b, "batches"))
 
 
 def mean_cosine_similarity(a: EmbeddingBatch, b: EmbeddingBatch) -> float:
@@ -75,21 +71,23 @@ def paraphrase_accuracy(
     return float((predictions == np.asarray(labels, dtype=bool)).mean())
 
 
-def _as_clean_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size < 2:
-        raise ValidationError(f"{name} needs at least 2 values, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
+def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 1-D arrays of one length, at least 2, all finite."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    for name, arr in (("x", x), ("y", y)):
+        if arr.size < 2:
+            raise ValidationError(f"{name} needs at least 2 values, got {arr.size}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} contains non-finite values")
+    if x.size != y.size:
+        raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
+    return x, y
 
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation; constant input is an error."""
-    x = _as_clean_1d(x, "x")
-    y = _as_clean_1d(y, "y")
-    if x.size != y.size:
-        raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
+    x, y = _clean_pair(x, y)
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = dx @ dx
@@ -113,10 +111,7 @@ def _fractional_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Spearman rank correlation with average-rank tie handling."""
-    x = _as_clean_1d(x, "x")
-    y = _as_clean_1d(y, "y")
-    if x.size != y.size:
-        raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
+    x, y = _clean_pair(x, y)
     return pearson(_fractional_ranks(x), _fractional_ranks(y))
 
 

@@ -28,28 +28,54 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity of two vectors, clamped into [-1, 1].
 
     The clamp only absorbs float round-off past the mathematical bounds; a
-    zero-norm input is an error.
+    zero-norm input or a non-finite entry is an error.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
         raise ValidationError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = np.sqrt(u @ u)
-    nv = np.sqrt(v @ v)
-    if nu == 0.0 or nv == 0.0:
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValidationError("cosine similarity is undefined for a non-finite entry")
+    return float(_row_cosines(u[None, :], v[None, :])[0])
+
+
+def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair of two aligned (n, d) arrays, in float64:
+    ``a[i] @ b[i] / (sqrt(a[i] @ a[i]) * sqrt(b[i] @ b[i]))``, clamped into
+    [-1, 1]. A zero row is an error.
+
+    Each dot product has the bits of the 1-D ``u @ v`` of that pair's rows,
+    taken C-contiguous so that the result does not depend on the inputs'
+    memory layout (BLAS sums a strided dot product in another order).
+    """
+    a, b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
+    # One (1, d) @ (d, 1) product per pair; einsum and (a * b).sum(axis=1)
+    # sum in another order and miss those bits.
+    ab, aa, bb = (np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+                  for x, y in ((a, b), (a, a), (b, b)))
+    if (aa == 0.0).any() or (bb == 0.0).any():
         raise ValidationError("cosine similarity is undefined for a zero vector")
-    return float(min(1.0, max(-1.0, (u @ v) / (nu * nv))))
+    return np.clip(ab / (np.sqrt(aa) * np.sqrt(bb)), -1.0, 1.0)
 
 
-def _aligned(teacher: EmbeddingBatch, student: EmbeddingBatch) -> tuple[np.ndarray, np.ndarray]:
-    if teacher.count != student.count or teacher.dim != student.dim:
+def _unit_rows(rows: np.ndarray, zero_row_message: str) -> tuple[np.ndarray, np.ndarray]:
+    """L2-normalize float64 rows; returns (unit rows, norms). A zero row
+    raises ValidationError with the caller's message."""
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    if (norms == 0.0).any():
+        raise ValidationError(zero_row_message)
+    return rows / norms[:, None], norms
+
+
+def _aligned(a: EmbeddingBatch, b: EmbeddingBatch,
+             what: str = "teacher and student batches") -> tuple[np.ndarray, np.ndarray]:
+    """The rows of two batches of one shape, in float64; ``what`` names the
+    batches when their shapes differ."""
+    if a.count != b.count or a.dim != b.dim:
         raise ValidationError(
-            f"teacher and student batches are misaligned: "
-            f"({teacher.count}, {teacher.dim}) vs ({student.count}, {student.dim})"
+            f"{what} are misaligned: ({a.count}, {a.dim}) vs ({b.count}, {b.dim})"
         )
-    t = np.asarray(teacher.vectors, dtype=np.float64)
-    s = np.asarray(student.vectors, dtype=np.float64)
-    return t, s
+    return np.asarray(a.vectors, dtype=np.float64), np.asarray(b.vectors, dtype=np.float64)
 
 
 def mse_loss(teacher: EmbeddingBatch, student: EmbeddingBatch) -> LossResult:
@@ -95,12 +121,8 @@ def mnr_loss(teacher: EmbeddingBatch, student: EmbeddingBatch, scale: float = 20
     if scale <= 0.0:
         raise ValidationError(f"scale must be positive, got {scale}")
     t, s = _aligned(teacher, student)
-    t_norms = np.sqrt((t * t).sum(axis=1))
-    s_norms = np.sqrt((s * s).sum(axis=1))
-    if (t_norms == 0.0).any() or (s_norms == 0.0).any():
-        raise ValidationError("ranking loss is undefined for zero-norm rows")
-    t_hat = t / t_norms[:, None]
-    s_hat = s / s_norms[:, None]
+    t_hat, _ = _unit_rows(t, "ranking loss is undefined for zero-norm rows")
+    s_hat, s_norms = _unit_rows(s, "ranking loss is undefined for zero-norm rows")
     cosines = np.clip(t_hat @ s_hat.T, -1.0, 1.0)
     value, d_logits = _diagonal_softmax_loss(scale * cosines)
     d_cos = scale * d_logits

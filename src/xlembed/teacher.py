@@ -19,6 +19,7 @@ import numpy as np
 from .corpus import ParallelCorpus
 from .encoder import EmbeddingBatch, EncoderConfig, embed, init_params
 from .errors import FormatError, ValidationError
+from .losses import _unit_rows
 from .tokenizer import Vocab
 
 _MAGIC = b"XLTE"
@@ -108,9 +109,6 @@ def toy_teacher(config: EncoderConfig, vocab: Vocab, corpus: ParallelCorpus) -> 
         raise ValidationError("toy teacher needs a non-empty corpus")
     params = init_params(config)
     raw = embed(params, vocab, corpus.targets(), config.max_len)
-    rows = raw.vectors.astype(np.float64)
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    if (norms == 0.0).any():
-        raise ValidationError("toy teacher produced a zero embedding; cannot normalize")
-    unit = (rows / norms[:, None]).astype(np.float32)
-    return TeacherTable(embeddings=EmbeddingBatch(vectors=unit))
+    unit, _ = _unit_rows(raw.vectors.astype(np.float64),
+                         "toy teacher produced a zero embedding; cannot normalize")
+    return TeacherTable(embeddings=EmbeddingBatch(vectors=unit.astype(np.float32)))

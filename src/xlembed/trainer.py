@@ -172,9 +172,13 @@ def adamw_step(
     Every operation is element-wise, so the blocks give the same bytes as
     whole-buffer passes. ``params`` and ``state`` are updated in place;
     ``grads`` is only read. A gradient of another config or dtype than
-    ``params``, moments of another shape or dtype than ``params.flat``, or
-    a non-finite gradient raises before anything is written.
+    ``params``, moments of another shape or dtype than ``params.flat``, a
+    non-finite gradient, or a non-finite or negative ``lr`` raises before
+    anything is written.
     """
+    check_real("lr", lr)
+    if lr < 0.0:
+        raise ValidationError(f"lr must be >= 0, got {lr}")
     if grads.config != params.config or grads.dtype != params.dtype:
         raise ValidationError(
             f"gradients of {grads.config} in {grads.dtype} do not match "

@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xlembed import (
     EmbeddingBatch,
     EvalReport,
     ValidationError,
+    cosine,
     embed,
     init_params,
     mean_cosine_similarity,
@@ -20,6 +23,7 @@ from xlembed import (
     spearman,
     time_inference,
 )
+from xlembed.evaluation import _paired_cosines
 
 
 def batch(rows):
@@ -42,6 +46,44 @@ def ranks_by_definition(values):
         1 + sum(1 for v in values if v < u) + (sum(1 for v in values if v == u) - 1) / 2
         for u in values
     ]
+
+
+def cosine_by_pair(u, v):
+    """One pair's cosine as a per-pair loop computes it: float64 1-D dot
+    products of C-contiguous rows, clamped with min and max."""
+    u = np.array(u, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    return float(min(1.0, max(-1.0, (u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    dim=st.integers(1, 768),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    log_scale=st.floats(-3.0, 3.0),
+    pairing=st.sampled_from(["independent", "parallel", "opposite"]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=300, dim=768, dtype=np.float32, log_scale=3.0, pairing="independent", layout="C", seed=0)
+@example(n=300, dim=768, dtype=np.float64, log_scale=-3.0, pairing="parallel", layout="F", seed=1)
+def test_batched_cosines_have_the_bits_of_per_pair_ones(n, dim, dtype, log_scale, pairing, layout, seed):
+    # Parallel and opposite rows put cosines at the clamp; every dot product
+    # must keep the bits of the pair's own 1-D product whatever the layout.
+    rng = np.random.default_rng(seed)
+    a = (rng.normal(size=(n, dim)) * 10.0**log_scale).astype(dtype)
+    b = {"independent": (rng.normal(size=(n, dim)) * 10.0**log_scale).astype(dtype),
+         "parallel": a * dtype(3.0), "opposite": a * dtype(-0.5)}[pairing]
+    if layout == "F":
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    elif layout == "strided":
+        a, b = np.repeat(a, 2, axis=1)[:, ::2], np.repeat(b, 2, axis=1)[:, ::2]
+    expected = np.array([cosine_by_pair(u, v) for u, v in zip(a, b)])
+    got = _paired_cosines(EmbeddingBatch(vectors=a), EmbeddingBatch(vectors=b))
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    one_by_one = np.array([cosine(u, v) for u, v in zip(a, b)])
+    assert one_by_one.tobytes() == expected.tobytes()
 
 
 class TestMeanCosineSimilarity:

@@ -69,6 +69,15 @@ class TestCosine:
         with pytest.raises(ValidationError):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, bad):
+        # Python's max(-1.0, nan) is -1.0, so an unchecked NaN cosine would
+        # read as "opposite" instead of failing.
+        with pytest.raises(ValidationError, match="non-finite"):
+            cosine([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            cosine([1.0, 1.0], [1.0, bad])
+
 
 class TestMseLoss:
     def test_hand_case(self):

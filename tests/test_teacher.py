@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -98,6 +99,16 @@ class TestToyTeacher:
         assert teacher.dim == 16
         norms = np.linalg.norm(teacher.embeddings.vectors.astype(np.float64), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-6
+
+    def test_golden_table_digest(self, tiny_corpus):
+        # Pinned bytes of one toy-teacher table, so a change to its encoder
+        # or to its row normalization shows up here.
+        vocab = build_vocab(tiny_corpus, side="target")
+        config = EncoderConfig(vocab_size=vocab.size, dim=16, n_layers=1, n_heads=2, ffn_mult=2, max_len=8, seed=4)
+        vectors = toy_teacher(config, vocab, tiny_corpus).embeddings.vectors
+        assert vectors.dtype == np.float32
+        digest = hashlib.sha256(np.ascontiguousarray(vectors).tobytes()).hexdigest()
+        assert digest == "bc969a21054984a5d6249affafcd598b9d2d2deae838461ef19749e5c3c95fc0"
 
     def test_deterministic(self, tiny_corpus):
         vocab = build_vocab(tiny_corpus, side="target")

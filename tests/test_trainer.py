@@ -170,6 +170,8 @@ class TestAdamW:
             "float64 v",
             "gradients of another config",
             "float64 gradients",
+            "non-finite learning rate",
+            "negative learning rate",
         ],
     )
     def test_mismatched_buffers_raise_before_any_write(self, case):
@@ -183,6 +185,7 @@ class TestAdamW:
         m = rng.normal(size=n).astype(np.float32)
         v = np.abs(rng.normal(size=n)).astype(np.float32)
         grads = EncoderParams(config, np.ones(n, dtype=np.float32))
+        lr = {"non-finite learning rate": float("nan"), "negative learning rate": -1.0}.get(case, 1e-3)
         if case == "state of a larger encoder":
             m, v = np.resize(m, n + 80), np.resize(v, n + 80)
         elif case == "state shorter than the parameters":
@@ -194,12 +197,12 @@ class TestAdamW:
         elif case == "gradients of another config":
             # Four heads hold as many scalars as two.
             grads = EncoderParams(dataclasses.replace(config, n_heads=4), grads.flat)
-        else:
+        elif case == "float64 gradients":
             grads = EncoderParams(config, grads.flat.astype(np.float64))
         state = OptimizerState(m, v, step_count=3)
         before = [params.flat.copy(), m.copy(), v.copy()]
         with pytest.raises(ValidationError):
-            adamw_step(params, grads, state, 1e-3, quick_config())
+            adamw_step(params, grads, state, lr, quick_config())
         for after, original in zip([params.flat, state.m, state.v], before):
             assert after.dtype == original.dtype and after.tobytes() == original.tobytes()
         assert state.step_count == 3
@@ -606,14 +609,20 @@ class TestCheckpointFile:
     def test_golden_checkpoint_digest(
         self, tiny_corpus, tiny_vocab, tiny_config, random_teacher, tmp_path
     ):
-        # Pinned bytes of a small trained checkpoint: a change to the
-        # parameter layout, the optimizer arithmetic or the file format
-        # shows up here.
-        ckpt = train(tiny_corpus, random_teacher, tiny_vocab, tiny_config, quick_config(epochs=3))
+        # Pinned bytes of small trained checkpoints: a change to the
+        # parameter layout, the optimizer arithmetic, a loss's arithmetic
+        # (the ranking loss's row normalization among it) or the file format
+        # shows up here. Six pairs in batches of 2 leave the ranking loss no
+        # singleton tail to skip.
+        golden = {
+            "mse": "7fddc4c7d3460c4f332389a9d2500fd1fef1b2030845c28dbf5baf545797dd86",
+            "mnr": "4d66f7d2d7f4425269f1df0aee13e9b2df95935c8f278fa4f3bcc2d98efcea41",
+        }
         path = tmp_path / "golden.bemb"
-        save_checkpoint(ckpt, path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "7fddc4c7d3460c4f332389a9d2500fd1fef1b2030845c28dbf5baf545797dd86"
+        for loss, expected in golden.items():
+            config = quick_config(loss=loss, epochs=3)
+            save_checkpoint(train(tiny_corpus, random_teacher, tiny_vocab, tiny_config, config), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, loss
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
