@@ -239,12 +239,17 @@ class Cache:
     ``runs`` the batch's runs of consecutive equal-length sentences as
     (first row, sentences, length). Rows past the last run are the padding
     of a batch of fewer than ``_MIN_ROWS`` tokens.
+
+    ``backward`` consumes the cache: it sets ``final_norm_cache`` to None and
+    pops ``layer_caches`` empty, so that each activation is freed at its
+    last read. Only ``ids`` and ``runs`` remain, and a second ``backward``
+    on it raises.
     """
 
     ids: np.ndarray
     runs: Runs
     layer_caches: list[LayerCache]
-    final_norm_cache: tuple
+    final_norm_cache: tuple | None
 
     @property
     def mask(self) -> np.ndarray:
@@ -312,14 +317,16 @@ def _layer_norm_forward(
 def _layer_norm_backward(
     dy: np.ndarray, gain: np.ndarray, cache: tuple, dgain: np.ndarray, dbias: np.ndarray
 ) -> np.ndarray:
-    """Input gradient; the gain and bias gradients are added to dgain and dbias."""
+    """Input gradient, in ``dy``'s buffer; the gain and bias gradients are
+    added to dgain and dbias first, while ``dy`` still holds them."""
     xhat, inv = cache
-    g = dy * gain
-    w = g * xhat
+    w = np.multiply(dy, xhat)
+    dgain += w.sum(axis=0)
+    dbias += dy.sum(axis=0)
+    g = np.multiply(dy, gain, out=dy)
+    np.multiply(g, xhat, out=w)
     m1 = _mean(g)
     m2 = _mean(w)
-    dgain += np.multiply(dy, xhat, out=w).sum(axis=0)
-    dbias += dy.sum(axis=0)
     g -= m1
     g -= np.multiply(xhat, m2, out=w)
     g *= inv
@@ -337,9 +344,10 @@ def _gelu_tanh(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _gelu(u: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """GELU from its pre-activation ``u`` and ``t = _gelu_tanh(u)``."""
-    g = np.add(t, 1.0, out=out)
-    g *= u
+    """GELU from its pre-activation ``u`` and ``t = _gelu_tanh(u)``, which it
+    overwrites with ``1 + t``; ``out`` may be ``u`` itself."""
+    t += 1.0
+    g = np.multiply(t, u, out=out)
     g *= 0.5
     return g
 
@@ -374,24 +382,24 @@ def _gelu_blocks(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     work = np.empty((min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
     for s in range(0, len(u), _GELU_ROWS):
         ub = u[s : s + _GELU_ROWS]
-        tb = work[: len(ub)]
-        out[s : s + _GELU_ROWS] = _gelu(ub, _gelu_tanh(ub, out=tb), out=tb)
+        _gelu(ub, _gelu_tanh(ub, out=work[: len(ub)]), out=out[s : s + _GELU_ROWS])
     return out
 
 
 def _gelu_backward(u: np.ndarray, d_g: np.ndarray) -> np.ndarray:
-    """Multiply the GELU's derivative into ``d_g`` in place and return the
-    GELU itself, one block of rows at a time like ``_gelu_blocks``: each
-    block's ``t`` is recomputed, bit for bit, in a block of work rows."""
-    g = np.empty_like(u)
+    """Multiply the GELU's derivative into ``d_g`` and then write the GELU
+    itself over ``u``, which it returns: nothing of ``(rows, 4·dim)`` is
+    allocated. It runs one block of rows at a time like ``_gelu_blocks``;
+    each block's ``t`` is recomputed, bit for bit, in a block of work rows,
+    and read by the derivative before the GELU overwrites the block's ``u``."""
     work = np.empty((3, min(len(u), _GELU_ROWS), u.shape[1]), dtype=u.dtype)
     for s in range(0, len(u), _GELU_ROWS):
         rows = slice(s, s + _GELU_ROWS)
         ub, db = u[rows], d_g[rows]
         tb, w1, w2 = work[:, : len(ub)]
-        _gelu(ub, _gelu_tanh(ub, out=tb), out=g[rows])
-        db *= _gelu_grad(ub, tb, w1, w2)
-    return g
+        db *= _gelu_grad(ub, _gelu_tanh(ub, out=tb), w1, w2)
+        _gelu(ub, tb, out=ub)
+    return u
 
 
 def _run_views(buf: np.ndarray, runs: Runs, n_heads: int) -> list[np.ndarray]:
@@ -464,18 +472,19 @@ def _attention_forward(
 
 
 def _attention_backward(
-    d_out: np.ndarray, layer: LayerParams, cache: LayerCache, grads: LayerParams,
+    d_out: np.ndarray, layer: LayerParams, saved: tuple, grads: LayerParams,
     runs: Runs, n_heads: int,
 ) -> np.ndarray:
-    """The input gradient of ``_attention_forward``; the weight gradients are
-    added to ``grads``."""
-    grads.attn_out_w += cache.qkvc[3].T @ d_out
+    """The input gradient of ``_attention_forward`` from the ``(ln1, qkvc,
+    probs)`` it saved; the weight gradients are added to ``grads``."""
+    ln1, qkvc, probs = saved
+    grads.attn_out_w += qkvc[3].T @ d_out
     grads.attn_out_b += d_out.sum(axis=0)
     # Gradients of Q, K, V and the context, laid out like qkvc.
     d_qkvc = np.zeros((4, *d_out.shape), dtype=d_out.dtype)
     np.matmul(d_out, layer.attn_out_w.T, out=d_qkvc[3])
     for p, run, d_run in zip(
-        cache.probs, _run_views(cache.qkvc, runs, n_heads), _run_views(d_qkvc, runs, n_heads)
+        probs, _run_views(qkvc, runs, n_heads), _run_views(d_qkvc, runs, n_heads)
     ):
         p_kq = p.transpose(1, 2, 0, 3)
         np.matmul(p_kq, d_run[3], out=d_run[2])
@@ -489,10 +498,14 @@ def _attention_backward(
         np.matmul(d_scores_kq, run[0], out=d_run[1])
     d_qkv = d_qkvc[:3]
     d_qkv[:2] *= np.asarray(1.0 / math.sqrt(d_out.shape[1] // n_heads), dtype=d_out.dtype)
-    d_h = (d_qkv @ layer.attn_qkv_w.transpose(0, 2, 1)).sum(axis=0)
-    grads.attn_qkv_w += _norm_output(cache.ln1[0], layer.norm1_gain, layer.norm1_bias).T @ d_qkv
+    # d_q·Wqᵀ + d_k·Wkᵀ + d_v·Wvᵀ, added in that order: the bits of the
+    # stacked product summed over its leading axis, without its (3, rows, dim).
+    d_h = d_qkv[0] @ layer.attn_qkv_w[0].T
+    d_h += d_qkv[1] @ layer.attn_qkv_w[1].T
+    d_h += d_qkv[2] @ layer.attn_qkv_w[2].T
+    grads.attn_qkv_w += _norm_output(ln1[0], layer.norm1_gain, layer.norm1_bias).T @ d_qkv
     grads.attn_qkv_b += d_qkv.sum(axis=1)
-    d_x = _layer_norm_backward(d_h, layer.norm1_gain, cache.ln1, grads.norm1_gain, grads.norm1_bias)
+    d_x = _layer_norm_backward(d_h, layer.norm1_gain, ln1, grads.norm1_gain, grads.norm1_bias)
     d_x += d_out
     return d_x
 
@@ -515,18 +528,20 @@ def _ffn_forward(x: np.ndarray, layer: LayerParams, keep: bool) -> tuple[np.ndar
 
 
 def _ffn_backward(
-    d_out: np.ndarray, layer: LayerParams, cache: LayerCache, grads: LayerParams
+    d_out: np.ndarray, layer: LayerParams, saved: tuple, grads: LayerParams
 ) -> np.ndarray:
-    """The input gradient of ``_ffn_forward``; the weight gradients are added
-    to ``grads``."""
+    """The input gradient of ``_ffn_forward`` from the ``(ln2, u)`` it saved;
+    the weight gradients are added to ``grads``. The GELU is written over
+    ``u``, so the saved ``u`` is spent."""
+    ln2, u = saved
     d_u = d_out @ layer.ffn_out_w.T
-    grads.ffn_out_w += _gelu_backward(cache.u, d_u).T @ d_out
+    grads.ffn_out_w += _gelu_backward(u, d_u).T @ d_out
     grads.ffn_out_b += d_out.sum(axis=0)
-    grads.ffn_in_w += _norm_output(cache.ln2[0], layer.norm2_gain, layer.norm2_bias).T @ d_u
+    grads.ffn_in_w += _norm_output(ln2[0], layer.norm2_gain, layer.norm2_bias).T @ d_u
     grads.ffn_in_b += d_u.sum(axis=0)
-    d_x = _layer_norm_backward(
-        d_u @ layer.ffn_in_w.T, layer.norm2_gain, cache.ln2, grads.norm2_gain, grads.norm2_bias
-    )
+    d_h = d_u @ layer.ffn_in_w.T
+    del d_u
+    d_x = _layer_norm_backward(d_h, layer.norm2_gain, ln2, grads.norm2_gain, grads.norm2_bias)
     d_x += d_out
     return d_x
 
@@ -609,7 +624,8 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     ``_ffn_forward`` per layer, the final layer norm and ``_pool``, the same
     calls that ``embed`` makes. The cache holds what ``backward`` reads of
     every layer, less what it recomputes bit for bit: the layer norms'
-    outputs and the GELU's tanh term (see ``LayerCache``).
+    outputs and the GELU's tanh term (see ``LayerCache``). One ``backward``
+    consumes it.
     """
     embeddings, cache = _encode(params, batch, keep=True)
     return EmbeddingBatch(vectors=embeddings), cache
@@ -648,6 +664,15 @@ def backward(
     ``_pool_backward``, the final layer norm's, ``_ffn_backward`` and
     ``_attention_backward`` per layer from the last, and
     ``_embed_tokens_backward``.
+
+    It consumes ``cache``: the closing layer norm's arrays are dropped after
+    its backward, and each layer's ``LayerCache`` is taken off
+    ``cache.layer_caches``, its FFN half dropped before its attention
+    backward and its attention half after. So the step's peak is the last
+    layer's FFN backward, and the FFN's GELU is written over the cached
+    ``u``. A wrong ``grad_output`` or ``grads`` raises ``ValidationError``
+    before anything is consumed, and so does a cache that an earlier
+    ``backward`` consumed, before anything is written.
     """
     config = params.config
     grad_output = np.asarray(grad_output, dtype=params.dtype)
@@ -659,17 +684,25 @@ def backward(
         )
     if grads.config != config or grads.dtype != params.dtype:
         raise ValidationError("grads must have the config and dtype of params")
+    if cache.final_norm_cache is None:
+        raise ValidationError(
+            "cache was consumed by an earlier backward: run forward again for each backward"
+        )
     grads.flat.fill(0)
 
     d_x = _pool_backward(grad_output, cache)
     d_x = _layer_norm_backward(
         d_x, params.final_gain, cache.final_norm_cache, grads.final_gain, grads.final_bias
     )
-    for layer, layer_grads, layer_cache in zip(
-        reversed(params.layers), reversed(grads.layers), reversed(cache.layer_caches)
-    ):
-        d_x = _ffn_backward(d_x, layer, layer_cache, layer_grads)
-        d_x = _attention_backward(d_x, layer, layer_cache, layer_grads, cache.runs, config.n_heads)
+    cache.final_norm_cache = None
+    for layer, layer_grads in zip(reversed(params.layers), reversed(grads.layers)):
+        ln1, qkvc, probs, ln2, u = cache.layer_caches.pop()
+        d_x = _ffn_backward(d_x, layer, (ln2, u), layer_grads)
+        del ln2, u
+        d_x = _attention_backward(
+            d_x, layer, (ln1, qkvc, probs), layer_grads, cache.runs, config.n_heads
+        )
+        del ln1, qkvc, probs
     _embed_tokens_backward(d_x, cache, grads)
     return grads
 

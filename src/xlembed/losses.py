@@ -15,6 +15,9 @@ import numpy as np
 from .encoder import EmbeddingBatch
 from .errors import ValidationError, check_real
 
+# Smallest normal float64: a squared norm below it has lost bits, or is 0.
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass
 class LossResult:
@@ -40,22 +43,39 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine of each row pair of two aligned (n, d) arrays, in float64:
-    ``a[i] @ b[i] / (sqrt(a[i] @ a[i]) * sqrt(b[i] @ b[i]))``, clamped into
-    [-1, 1]. A zero row is an error.
+    """Cosine of each row pair of two aligned, finite (n, d) arrays, in
+    float64: ``a[i] @ b[i] / (sqrt(a[i] @ a[i]) * sqrt(b[i] @ b[i]))``,
+    clamped into [-1, 1]. A zero row is an error.
 
     Each dot product has the bits of the 1-D ``u @ v`` of that pair's rows,
     taken C-contiguous so that the result does not depend on the inputs'
-    memory layout (BLAS sums a strided dot product in another order).
+    memory layout (BLAS sums a strided dot product in another order). A
+    pair whose squared norms overflow, or fall below float64's normal
+    range, is computed again from its rows scaled by a power of two,
+    exactly, so that each row's largest entry lies in [0.5, 1); a cosine
+    does not change under that scaling.
     """
     a, b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
-    # One (1, d) @ (d, 1) product per pair; einsum and (a * b).sum(axis=1)
-    # sum in another order and miss those bits.
-    ab, aa, bb = (np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-                  for x, y in ((a, b), (a, a), (b, b)))
+    with np.errstate(over="ignore", under="ignore"):
+        ab, aa, bb = _row_products(a, b)
+        lost = ~(np.isfinite(aa) & np.isfinite(bb) & (aa >= _TINY) & (bb >= _TINY))
+        if lost.any():
+            a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=1))[1][:, None])
+                    for x in (a[lost], b[lost]))
+            ab[lost], aa[lost], bb[lost] = _row_products(a, b)
     if (aa == 0.0).any() or (bb == 0.0).any():
         raise ValidationError("cosine similarity is undefined for a zero vector")
     return np.clip(ab / (np.sqrt(aa) * np.sqrt(bb)), -1.0, 1.0)
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``a[i] @ b[i]``, ``a[i] @ a[i]`` and ``b[i] @ b[i]`` of each row pair.
+
+    One (1, d) @ (d, 1) product per pair; einsum and (a * b).sum(axis=1)
+    sum in another order and miss the bits of the 1-D product.
+    """
+    return tuple(np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+                 for x, y in ((a, b), (a, a), (b, b)))
 
 
 def _unit_rows(rows: np.ndarray, zero_row_message: str) -> tuple[np.ndarray, np.ndarray]:

@@ -345,12 +345,38 @@ class TestBackward:
         weights = np.ones((2, tiny_config.dim))
         fresh = backward(params, cache, weights, params.zeros_like())
         dirty = EncoderParams(params.config, np.full_like(params.flat, np.nan))
+        _, cache = forward(params, batch)
         assert backward(params, cache, weights, dirty) is dirty
         assert dirty.flat.tobytes() == fresh.flat.tobytes()
         wider = dataclasses.replace(tiny_config, vocab_size=tiny_config.vocab_size + 1)
         for wrong in (init_params(tiny_config, dtype=np.float64), init_params(wider)):
             with pytest.raises(ValidationError, match="grads"):
                 backward(params, cache, weights, wrong)
+
+    def test_second_backward_on_one_cache_raises_before_writing(self, tiny_config, tiny_vocab):
+        params = init_params(tiny_config)
+        batch = encode_batch(tiny_vocab, ["the cat", "a dog ran"], max_len=4)
+        _, cache = forward(params, batch)
+        weights = np.ones((2, tiny_config.dim))
+        grads = backward(params, cache, weights, params.zeros_like())
+        assert cache.layer_caches == [] and cache.final_norm_cache is None
+        before = grads.flat.tobytes()
+        with pytest.raises(ValidationError, match="consumed"):
+            backward(params, cache, weights, grads)
+        assert grads.flat.tobytes() == before
+
+    def test_rejected_arguments_leave_the_cache_whole(self, tiny_config, tiny_vocab):
+        params = init_params(tiny_config)
+        batch = encode_batch(tiny_vocab, ["the cat", "a dog ran"], max_len=4)
+        weights = np.ones((2, tiny_config.dim))
+        expected = loss_and_grads(params, batch, weights)[1].flat.tobytes()
+        _, cache = forward(params, batch)
+        with pytest.raises(ValidationError, match="grad_output"):
+            backward(params, cache, weights[:1], params.zeros_like())
+        with pytest.raises(ValidationError, match="grads"):
+            backward(params, cache, weights, init_params(tiny_config, dtype=np.float64))
+        assert len(cache.layer_caches) == tiny_config.n_layers
+        assert backward(params, cache, weights, params.zeros_like()).flat.tobytes() == expected
 
     def test_grads_mirror_param_tree(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)

@@ -3,6 +3,8 @@
 The encoder's feed-forward computes ``0.5·u·(1 + t)`` with
 ``t = tanh(√(2/π)·(u + 0.044715·u³))`` (Hendrycks & Gimpel 2016) in place,
 and its backward pass the exact derivative of that, in float32 or float64.
+The backward pass's in-place GELU and layer norm match the allocating forms
+kept here as references, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,11 +13,21 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from xlembed.encoder import _gelu, _gelu_grad, _gelu_tanh
+from xlembed.encoder import (
+    _GELU_ROWS,
+    _gelu,
+    _gelu_backward,
+    _gelu_blocks,
+    _gelu_grad,
+    _gelu_tanh,
+    _layer_norm_backward,
+    _layer_norm_forward,
+    _mean,
+)
 
 C = math.sqrt(2.0 / math.pi)
 A = 0.044715
@@ -36,7 +48,8 @@ def _closed_forms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = _gelu_tanh(u)
-    return _gelu(u, t), _gelu_grad(u, t)
+    grad = _gelu_grad(u, t)  # before _gelu, which overwrites t
+    return _gelu(u, t), grad
 
 
 def _inputs(dtype, bound: float):
@@ -94,3 +107,66 @@ def test_float32_saturates_without_warnings(magnitude, sign):
         assert np.array_equal(gelu, u) and np.all(grad == 1.0)
     else:
         assert np.all(gelu == 0.0) and np.all(grad == 0.0)
+
+
+def _gelu_backward_reference(u: np.ndarray, d_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The allocating form: a fresh GELU and a fresh gradient, block by block."""
+    g, d = np.empty_like(u), np.empty_like(d_g)
+    for s in range(0, len(u), _GELU_ROWS):
+        rows = slice(s, s + _GELU_ROWS)
+        t = _gelu_tanh(u[rows])
+        d[rows] = d_g[rows] * _gelu_grad(u[rows], t)
+        g[rows] = _gelu(u[rows], t)
+    return g, d
+
+
+def _layer_norm_backward_reference(dy, gain, cache, dgain, dbias):
+    """The allocating form, which leaves ``dy`` as it was."""
+    xhat, inv = cache
+    g = dy * gain
+    w = g * xhat
+    m1 = _mean(g)
+    m2 = _mean(w)
+    dgain += np.multiply(dy, xhat, out=w).sum(axis=0)
+    dbias += dy.sum(axis=0)
+    g -= m1
+    g -= np.multiply(xhat, m2, out=w)
+    g *= inv
+    return g
+
+
+@st.composite
+def _block_edge_rows(draw):
+    """Three (rows, width) arrays of one dtype, with rows at the GELU's block
+    edges, as normal draws from a seed."""
+    dtype = draw(dtypes)
+    rows = draw(st.sampled_from([1, _GELU_ROWS - 1, _GELU_ROWS, _GELU_ROWS + 1, 300]))
+    width = draw(st.integers(4, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 3.0, 30.0]))
+    return [(scale * rng.normal(size=(rows, width))).astype(dtype) for _ in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_edge_rows())
+def test_in_place_gelu_backward_has_the_reference_bytes(arrays3):
+    u, d_g, _ = arrays3
+    ref_g, ref_d = _gelu_backward_reference(u, d_g)
+    forward_g = _gelu_blocks(u, np.empty_like(u))
+    assert _gelu_backward(u, d_g) is u
+    assert u.tobytes() == forward_g.tobytes() == ref_g.tobytes()
+    assert d_g.tobytes() == ref_d.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_edge_rows())
+def test_in_place_layer_norm_backward_has_the_reference_bytes(arrays3):
+    x, dy, affine = arrays3
+    gain, bias = affine[0], affine[-1]
+    _, cache = _layer_norm_forward(x, gain, bias)
+    grads = [np.full_like(gain, 0.25) for _ in range(4)]
+    ref = _layer_norm_backward_reference(dy, gain, cache, grads[0], grads[1])
+    dx = _layer_norm_backward(dy.copy(), gain, cache, grads[2], grads[3])
+    assert dx.tobytes() == ref.tobytes()
+    assert grads[2].tobytes() == grads[0].tobytes()
+    assert grads[3].tobytes() == grads[1].tobytes()

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from xlembed import EmbeddingBatch, ValidationError, cosine, mnr_loss, mse_loss
+from xlembed import (
+    EmbeddingBatch,
+    ValidationError,
+    cosine,
+    mean_cosine_similarity,
+    mnr_loss,
+    mse_loss,
+    paraphrase_accuracy,
+)
 
 
 def batch(rows):
@@ -68,6 +76,17 @@ class TestCosine:
             cosine([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValidationError):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rows_whose_squared_norm_leaves_float64_keep_their_cosine(self, scale):
+        # Every entry is finite and no vector is zero, but u @ u overflows
+        # at 1e200 and underflows to 0 at 1e-200.
+        assert cosine([scale, scale], [scale, scale]) == 1.0
+        assert cosine([4.0 * scale, 3.0 * scale], [scale, 0.0]) == pytest.approx(0.8, rel=1e-15)
+        a = batch([[scale, scale], [1.0, 0.0]])
+        b = batch([[scale, scale], [0.0, 1.0]])
+        assert mean_cosine_similarity(a, b) == 0.5
+        assert paraphrase_accuracy(a, b, [1, 0]) == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_raises(self, bad):
