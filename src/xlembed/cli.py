@@ -8,7 +8,8 @@ commands read their datasets verbatim because labels align by line.
 
 A flag left out takes the default of what it feeds: ``TrainingConfig``,
 ``TsneConfig``, ``EncoderConfig``, ``build_vocab``, ``preprocess`` or
-``paraphrase_accuracy``. The CLI sets only the model sizes of toy-teacher
+``paraphrase_accuracy`` (whose formula eval-paraphrase calls on its pairs'
+cosines, as ``_accuracy``). The CLI sets only the model sizes of toy-teacher
 and train and its own flags. ``train`` takes its width from the teacher.
 
 ``dispatch`` parses with one parser per process, built on its first call;
@@ -27,16 +28,16 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from .corpus import (
     ParallelCorpus, ScoredPairs, load_labeled, load_parallel, load_scored_pairs, preprocess,
     read_lines,
 )
-from .encoder import EmbeddingBatch, EncoderConfig, embed
+from .encoder import EncoderConfig, embed
 from .errors import ToolkitError, ValidationError
-from .evaluation import (
-    EvalReport, _paired_cosines, mean_cosine_similarity, paraphrase_accuracy, pearson, spearman,
-    time_inference,
-)
+from .evaluation import EvalReport, _accuracy, pearson, spearman, time_inference
+from .losses import _row_cosines
 from .teacher import TeacherTable, read_teacher_file, toy_teacher, write_teacher_file
 from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 from .trainer import Checkpoint, TrainingConfig, load_checkpoint, save_checkpoint, train
@@ -142,10 +143,11 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _evaluate(args: argparse.Namespace, task: str, read_pairs: Callable[[str], Any],
-              metrics: Callable[..., dict[str, float]]) -> int:
+              metrics: Callable[[Any, np.ndarray], dict[str, float]]) -> int:
     """Load the model, then ``read_pairs(args.pairs)``, whose pairs must not
-    be empty; embed both sides in one timed pass, score them with
-    ``metrics(data, a, b)``, print and write the report."""
+    be empty; embed both sides in one timed pass, take each pair's cosine
+    once, score the cosines with ``metrics(data, cosines)``, print and write
+    the report."""
     ckpt, vocab = _load_model(args)
     data = read_pairs(args.pairs)
     n = len(data.pairs)
@@ -153,10 +155,8 @@ def _evaluate(args: argparse.Namespace, task: str, read_pairs: Callable[[str], A
         raise ValidationError(f"{args.pairs}: no pairs to evaluate")
     texts = [a for a, _ in data.pairs] + [b for _, b in data.pairs]
     both, seconds = time_inference(ckpt.params, vocab, texts, ckpt.config.max_len)
-    emb_a = EmbeddingBatch(vectors=both.vectors[:n])
-    emb_b = EmbeddingBatch(vectors=both.vectors[n:])
-    report = EvalReport(task=task, inference_seconds=seconds, n_items=n,
-                        **metrics(data, emb_a, emb_b))
+    cosines = _row_cosines(both.vectors[:n], both.vectors[n:])
+    report = EvalReport(task=task, inference_seconds=seconds, n_items=n, **metrics(data, cosines))
     print(report.to_json())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -164,11 +164,12 @@ def _evaluate(args: argparse.Namespace, task: str, read_pairs: Callable[[str], A
 
 
 def _cmd_eval_paraphrase(args: argparse.Namespace) -> int:
-    def metrics(corpus: ParallelCorpus, a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
-        labels = _read_binary_labels(args.labels, a.count) if args.labels else [1] * a.count
+    def metrics(corpus: ParallelCorpus, cosines: np.ndarray) -> dict[str, float]:
+        n = cosines.size
+        labels = _read_binary_labels(args.labels, n) if args.labels else [1] * n
         return {
-            "mcs": mean_cosine_similarity(a, b),
-            "accuracy": paraphrase_accuracy(a, b, labels, **_given(args, "threshold")),
+            "mcs": float(cosines.mean()),
+            "accuracy": _accuracy(cosines, labels, **_given(args, "threshold")),
         }
 
     return _evaluate(args, "paraphrase", lambda p: load_parallel(p, _infer_format(p, args.format)),
@@ -176,8 +177,7 @@ def _cmd_eval_paraphrase(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_sts(args: argparse.Namespace) -> int:
-    def correlations(scored: ScoredPairs, a: EmbeddingBatch, b: EmbeddingBatch) -> dict[str, float]:
-        cosines = _paired_cosines(a, b)
+    def correlations(scored: ScoredPairs, cosines: np.ndarray) -> dict[str, float]:
         return {
             "pearson_r": pearson(cosines, scored.scores),
             "spearman_rho": spearman(cosines, scored.scores),

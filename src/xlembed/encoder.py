@@ -21,7 +21,9 @@ Each stage is a pair of module-level functions, a forward half and its
 backward half: ``_embed_tokens``, ``_attention_forward`` and ``_ffn_forward``
 (once per block), and ``_pool``, each with its ``*_backward``. ``forward``
 and ``embed`` make the same forward calls, and ``backward`` makes the
-backward calls in reverse.
+backward calls in reverse. The cache is a tape: ``forward`` pushes the
+tuple each forward half saves, and ``backward`` pops each one straight
+into its backward half.
 
 All computation happens in the dtype of the parameter arrays; float32 is
 the default, and tests run the same code in float64 for finite-difference
@@ -34,7 +36,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -207,49 +209,34 @@ class EmbeddingBatch:
         return int(self.vectors.shape[1])
 
 
-class LayerCache(NamedTuple):
-    """What the backward halves read of one block's forward pass.
-
-    ``_attention_forward`` returns ``(ln1, qkvc, probs)`` and
-    ``_ffn_forward`` ``(ln2, u)``: ``ln1`` and ``ln2`` are the layer norms'
-    ``(xhat, inv)``, ``qkvc`` the Q, K, V and attention context rows,
-    ``probs`` each run's key-major attention probabilities and ``u`` the
-    GELU's pre-activation. The layer norms' outputs, the GELU's ``t`` and the
-    score scale are not kept: ``_attention_backward`` and ``_ffn_backward``
-    recompute them, bit for bit, with the calls that first made them.
-    """
-
-    ln1: tuple[np.ndarray, np.ndarray]
-    qkvc: np.ndarray
-    probs: list[np.ndarray]
-    ln2: tuple[np.ndarray, np.ndarray]
-    u: np.ndarray
-
-
 @dataclass
 class Cache:
     """The activations forward saves for the backward pass.
 
-    ``layer_caches`` holds one ``LayerCache`` per block, built from what
-    ``_attention_forward`` and ``_ffn_forward`` return, and
-    ``final_norm_cache`` the closing layer norm's ``(xhat, inv)``, so only
-    what backward cannot recompute bit for bit is kept: at ``ffn_mult`` 4,
-    about 10 ``(rows, dim)`` arrays per block besides the attention
-    probabilities. ``ids`` holds the packed token id of each row, and
-    ``runs`` the batch's runs of consecutive equal-length sentences as
-    (first row, sentences, length). Rows past the last run are the padding
-    of a batch of fewer than ``_MIN_ROWS`` tokens.
+    ``tape`` is a reverse-mode tape: ``forward`` pushes each stage's saved
+    tuple in call order, for each block ``_attention_forward``'s ``(ln1,
+    qkvc, probs)`` and then ``_ffn_forward``'s ``(ln2, u)``, and last the
+    closing layer norm's ``(xhat, inv)``. ``ln1`` and ``ln2`` are the layer
+    norms' ``(xhat, inv)``, ``qkvc`` the Q, K, V and attention context rows,
+    ``probs`` each run's key-major attention probabilities and ``u`` the
+    GELU's pre-activation. Only what backward cannot recompute bit for bit
+    is kept: the layer norms' outputs, the GELU's ``t`` and the score scale
+    are recomputed by the backward halves with the calls that first made
+    them. At ``ffn_mult`` 4 that is about 10 ``(rows, dim)`` arrays per
+    block besides the attention probabilities. ``ids`` holds the packed
+    token id of each row, and ``runs`` the batch's runs of consecutive
+    equal-length sentences as (first row, sentences, length). Rows past the
+    last run are the padding of a batch of fewer than ``_MIN_ROWS`` tokens.
 
-    ``backward`` consumes the cache: it sets ``final_norm_cache`` to None and
-    pops ``layer_caches`` empty, so that each activation is freed at its
-    last read. Only ``ids`` and ``runs`` remain, and a second ``backward``
-    on it raises.
+    ``backward`` pops the tape empty, handing each entry to its backward
+    half, so that each activation is freed at its last read. Only ``ids``
+    and ``runs`` remain beside the empty tape, and a second ``backward`` on
+    it raises.
     """
 
     ids: np.ndarray
     runs: Runs
-    layer_caches: list[LayerCache]
-    final_norm_cache: tuple | None
+    tape: list[tuple]
 
     @property
     def mask(self) -> np.ndarray:
@@ -433,7 +420,7 @@ def _attention_forward(
     x: np.ndarray, layer: LayerParams, runs: Runs, n_heads: int, keep: bool
 ) -> tuple[np.ndarray, tuple | None]:
     """``x`` plus the attention of its layer-normed rows, and, with ``keep``,
-    the cache ``(ln1, qkvc, probs)`` of ``LayerCache``.
+    its tape entry ``(ln1, qkvc, probs)`` (see ``Cache``).
 
     Attention runs once per run of equal-length sentences. Without ``keep``
     one run's probabilities are held at a time.
@@ -512,8 +499,8 @@ def _attention_backward(
 
 def _ffn_forward(x: np.ndarray, layer: LayerParams, keep: bool) -> tuple[np.ndarray, tuple | None]:
     """``x`` plus the feed-forward of its layer-normed rows, and, with
-    ``keep``, the cache ``(ln2, u)`` of ``LayerCache``. Without ``keep`` the
-    GELU overwrites its input ``u``."""
+    ``keep``, its tape entry ``(ln2, u)`` (see ``Cache``). Without ``keep``
+    the GELU overwrites its input ``u``."""
     h, ln = _layer_norm_forward(x, layer.norm2_gain, layer.norm2_bias)
     u = h @ layer.ffn_in_w
     u += layer.ffn_in_b
@@ -622,10 +609,10 @@ def forward(params: EncoderParams, batch: list[list[int]]) -> tuple[EmbeddingBat
     ``_MIN_ROWS`` tokens in total gets padding rows (see ``_pack``). The
     pass is ``_embed_tokens``, then ``_attention_forward`` and
     ``_ffn_forward`` per layer, the final layer norm and ``_pool``, the same
-    calls that ``embed`` makes. The cache holds what ``backward`` reads of
-    every layer, less what it recomputes bit for bit: the layer norms'
-    outputs and the GELU's tanh term (see ``LayerCache``). One ``backward``
-    consumes it.
+    calls that ``embed`` makes. The cache's tape holds what ``backward``
+    reads of every stage, less what it recomputes bit for bit: the layer
+    norms' outputs and the GELU's tanh term (see ``Cache``). One
+    ``backward`` consumes it.
     """
     embeddings, cache = _encode(params, batch, keep=True)
     return EmbeddingBatch(vectors=embeddings), cache
@@ -642,15 +629,15 @@ def _encode(
     config = params.config
     ids, runs = _pack(batch, config)
     x = _embed_tokens(params, ids, runs)
-    layer_caches = []
+    tape = []
     for layer in params.layers:
         x, attention = _attention_forward(x, layer, runs, config.n_heads, keep)
         x, ffn = _ffn_forward(x, layer, keep)
-        if keep:
-            layer_caches.append(LayerCache(*attention, *ffn))
-    xf, lnfc = _layer_norm_forward(x, params.final_gain, params.final_bias)
+        tape += [attention, ffn]
+    xf, ln = _layer_norm_forward(x, params.final_gain, params.final_bias)
+    tape.append(ln)
     embeddings = _pool(xf, runs, len(batch))
-    return embeddings, (Cache(ids, runs, layer_caches, lnfc) if keep else None)
+    return embeddings, (Cache(ids, runs, tape) if keep else None)
 
 
 def backward(
@@ -665,14 +652,14 @@ def backward(
     ``_attention_backward`` per layer from the last, and
     ``_embed_tokens_backward``.
 
-    It consumes ``cache``: the closing layer norm's arrays are dropped after
-    its backward, and each layer's ``LayerCache`` is taken off
-    ``cache.layer_caches``, its FFN half dropped before its attention
-    backward and its attention half after. So the step's peak is the last
-    layer's FFN backward, and the FFN's GELU is written over the cached
-    ``u``. A wrong ``grad_output`` or ``grads`` raises ``ValidationError``
-    before anything is consumed, and so does a cache that an earlier
-    ``backward`` consumed, before anything is written.
+    It consumes ``cache``: each half takes its entry straight off
+    ``cache.tape`` with ``pop``, so the entry dies when the half returns.
+    The closing layer norm's goes first, then per layer the FFN's and the
+    attention's, so the step's peak is the last layer's FFN backward, and
+    the FFN's GELU is written over the cached ``u``. A wrong
+    ``grad_output`` or ``grads`` raises ``ValidationError`` before anything
+    is consumed, and so does a cache that an earlier ``backward`` consumed
+    (an empty tape), before anything is written.
     """
     config = params.config
     grad_output = np.asarray(grad_output, dtype=params.dtype)
@@ -684,25 +671,20 @@ def backward(
         )
     if grads.config != config or grads.dtype != params.dtype:
         raise ValidationError("grads must have the config and dtype of params")
-    if cache.final_norm_cache is None:
+    if not cache.tape:
         raise ValidationError(
             "cache was consumed by an earlier backward: run forward again for each backward"
         )
     grads.flat.fill(0)
 
+    tape = cache.tape
     d_x = _pool_backward(grad_output, cache)
     d_x = _layer_norm_backward(
-        d_x, params.final_gain, cache.final_norm_cache, grads.final_gain, grads.final_bias
+        d_x, params.final_gain, tape.pop(), grads.final_gain, grads.final_bias
     )
-    cache.final_norm_cache = None
     for layer, layer_grads in zip(reversed(params.layers), reversed(grads.layers)):
-        ln1, qkvc, probs, ln2, u = cache.layer_caches.pop()
-        d_x = _ffn_backward(d_x, layer, (ln2, u), layer_grads)
-        del ln2, u
-        d_x = _attention_backward(
-            d_x, layer, (ln1, qkvc, probs), layer_grads, cache.runs, config.n_heads
-        )
-        del ln1, qkvc, probs
+        d_x = _ffn_backward(d_x, layer, tape.pop(), layer_grads)
+        d_x = _attention_backward(d_x, layer, tape.pop(), layer_grads, cache.runs, config.n_heads)
     _embed_tokens_backward(d_x, cache, grads)
     return grads
 

@@ -18,6 +18,9 @@ from .errors import ValidationError, check_real
 from .losses import _aligned, _row_cosines
 from .tokenizer import Vocab
 
+# A pair is predicted a paraphrase when its cosine reaches this.
+_THRESHOLD = 0.8
+
 
 @dataclass
 class EvalReport:
@@ -54,7 +57,7 @@ def mean_cosine_similarity(a: EmbeddingBatch, b: EmbeddingBatch) -> float:
 
 
 def paraphrase_accuracy(
-    a: EmbeddingBatch, b: EmbeddingBatch, labels: list[int], threshold: float = 0.8
+    a: EmbeddingBatch, b: EmbeddingBatch, labels: list[int], threshold: float = _THRESHOLD
 ) -> float:
     """Fraction of pairs whose thresholded cosine matches the 0/1 label.
 
@@ -66,9 +69,14 @@ def paraphrase_accuracy(
         raise ValidationError(f"{len(labels)} labels for {a.count} pairs")
     if any(l not in (0, 1) for l in labels):
         raise ValidationError("labels must be 0 or 1")
-    cosines = _paired_cosines(a, b)
-    predictions = cosines >= threshold
-    return float((predictions == np.asarray(labels, dtype=bool)).mean())
+    return _accuracy(_paired_cosines(a, b), labels, threshold)
+
+
+def _accuracy(cosines: np.ndarray, labels: list[int], threshold: float = _THRESHOLD) -> float:
+    """``paraphrase_accuracy`` of pairs with these cosines and valid 0/1
+    labels, one per pair; the threshold must be finite."""
+    check_real("threshold", threshold)
+    return float(((cosines >= threshold) == np.asarray(labels, dtype=bool)).mean())
 
 
 def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:

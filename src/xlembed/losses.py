@@ -51,18 +51,16 @@ def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     taken C-contiguous so that the result does not depend on the inputs'
     memory layout (BLAS sums a strided dot product in another order). A
     pair whose squared norms overflow, or fall below float64's normal
-    range, is computed again from its rows scaled by a power of two,
-    exactly, so that each row's largest entry lies in [0.5, 1); a cosine
-    does not change under that scaling.
+    range, is computed again from its rows scaled by ``_pow2_scaled``; a
+    cosine does not change under that scaling.
     """
     a, b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
     with np.errstate(over="ignore", under="ignore"):
         ab, aa, bb = _row_products(a, b)
         lost = ~(np.isfinite(aa) & np.isfinite(bb) & (aa >= _TINY) & (bb >= _TINY))
-        if lost.any():
-            a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=1))[1][:, None])
-                    for x in (a[lost], b[lost]))
-            ab[lost], aa[lost], bb[lost] = _row_products(a, b)
+        ab[lost], aa[lost], bb[lost] = _row_products(
+            _pow2_scaled(a[lost])[0], _pow2_scaled(b[lost])[0]
+        )
     if (aa == 0.0).any() or (bb == 0.0).any():
         raise ValidationError("cosine similarity is undefined for a zero vector")
     return np.clip(ab / (np.sqrt(aa) * np.sqrt(bb)), -1.0, 1.0)
@@ -78,13 +76,35 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
                  for x, y in ((a, b), (a, a), (b, b)))
 
 
+def _pow2_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finite float64 rows scaled by a power of two, exactly, so that each
+    row's largest entry lies in [0.5, 1); returns (scaled rows, exponents),
+    with ``rows == ldexp(scaled, exponents[:, None])``. A zero row stays 0."""
+    exponents = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+    return np.ldexp(rows, -exponents[:, None]), exponents
+
+
 def _unit_rows(rows: np.ndarray, zero_row_message: str) -> tuple[np.ndarray, np.ndarray]:
-    """L2-normalize float64 rows; returns (unit rows, norms). A zero row
-    raises ValidationError with the caller's message."""
-    norms = np.sqrt((rows * rows).sum(axis=1))
+    """L2-normalize finite float64 rows; returns (unit rows, norms). A zero
+    row raises ValidationError with the caller's message.
+
+    A row whose squared norm overflows or falls below float64's normal range
+    is normalized again from its ``_pow2_scaled`` form, and its norm is that
+    form's norm times the power of two; every other row keeps the bits of
+    ``rows / sqrt((rows * rows).sum(axis=1))``.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        squared = (rows * rows).sum(axis=1)
+        lost = ~(np.isfinite(squared) & (squared >= _TINY))
+        scaled, exponents = _pow2_scaled(rows[lost])
+        scaled_norms = np.sqrt((scaled * scaled).sum(axis=1))
+        norms = np.sqrt(squared)
+        norms[lost] = np.ldexp(scaled_norms, exponents)
     if (norms == 0.0).any():
         raise ValidationError(zero_row_message)
-    return rows / norms[:, None], norms
+    unit = rows / norms[:, None]
+    unit[lost] = scaled / scaled_norms[:, None]
+    return unit, norms
 
 
 def _aligned(a: EmbeddingBatch, b: EmbeddingBatch,

@@ -312,7 +312,7 @@ EVAL_PARAPHRASE = ["eval-paraphrase", "--ckpt", "{ckpt}", "--vocab", "{vocab}", 
     (["build-vocab", "--corpus", "{corpus}", "--out", "{out}"], "preprocess",
      lambda a, kw: kw, {}),
     (TOY_TEACHER, "build_vocab", lambda a, kw: kw, {"side": "target"}),
-    (EVAL_PARAPHRASE, "paraphrase_accuracy", lambda a, kw: kw, {}),
+    (EVAL_PARAPHRASE, "_accuracy", lambda a, kw: kw, {}),
     # Flags whose name differs from the field they set.
     (TRAIN + ["--lr", "0.25", "--log", "{log_path}"], "train",
      lambda a, kw: (a[4].base_lr, Path(a[4].log_path).name), (0.25, "log")),
@@ -320,7 +320,7 @@ EVAL_PARAPHRASE = ["eval-paraphrase", "--ckpt", "{ckpt}", "--vocab", "{vocab}", 
      lambda a, kw: (a[3].n_layers, a[3].n_heads), (1, 2)),
     (TOY_TEACHER + ["--vocab-max-size", "7", "--vocab-min-freq", "2"], "build_vocab",
      lambda a, kw: kw, {"side": "target", "max_size": 7, "min_freq": 2}),
-    (EVAL_PARAPHRASE + ["--threshold", "0.5"], "paraphrase_accuracy",
+    (EVAL_PARAPHRASE + ["--threshold", "0.5"], "_accuracy",
      lambda a, kw: kw, {"threshold": 0.5}),
 ])
 def test_flags_reach_the_library(workdir, tmp_path, monkeypatch, argv, patched, pick, expected):
@@ -455,9 +455,11 @@ class TestExitCodes:
             (["eval-paraphrase", *MODEL, "--pairs", "{pairs}"],
              {"pairs": ""}, "no pairs to evaluate"),
             (["eval-sts", *MODEL, "--pairs", "{pairs}"], {"pairs": ""}, "no pairs to evaluate"),
+            (["eval-paraphrase", *MODEL, "--pairs", "{pairs}", "--threshold", "nan"],
+             {"pairs": "a\tb\n"}, "threshold"),
         ],
         ids=["cleaned-empty-corpus", "empty-texts", "bad-label", "empty-paraphrase-pairs",
-             "empty-sts-pairs"],
+             "empty-sts-pairs", "non-finite-threshold"],
     )
     def test_unusable_input_exits_two(self, workdir, tmp_path, capsys, argv, files, message):
         paths = {"ckpt": workdir["ckpt"], "vocab": workdir["vocab"], "out": tmp_path / "out"}

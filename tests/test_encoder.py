@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ class TestBackward:
         _, cache = forward(params, batch)
         weights = np.ones((2, tiny_config.dim))
         grads = backward(params, cache, weights, params.zeros_like())
-        assert cache.layer_caches == [] and cache.final_norm_cache is None
+        assert cache.tape == []
         before = grads.flat.tobytes()
         with pytest.raises(ValidationError, match="consumed"):
             backward(params, cache, weights, grads)
@@ -375,8 +376,47 @@ class TestBackward:
             backward(params, cache, weights[:1], params.zeros_like())
         with pytest.raises(ValidationError, match="grads"):
             backward(params, cache, weights, init_params(tiny_config, dtype=np.float64))
-        assert len(cache.layer_caches) == tiny_config.n_layers
+        assert len(cache.tape) == 2 * tiny_config.n_layers + 1
         assert backward(params, cache, weights, params.zeros_like()).flat.tobytes() == expected
+
+    def test_each_tape_entry_dies_at_its_last_read(self, tiny_vocab, monkeypatch):
+        from xlembed import encoder as encoder_module
+
+        config = EncoderConfig(vocab_size=tiny_vocab.size, dim=8, n_layers=3, n_heads=2, max_len=6)
+        params = init_params(config)
+        texts = ["the cat sat", "a dog ran fast", "birds sing", "the sun"]
+        emb, cache = forward(params, encode_batch(tiny_vocab, texts, config.max_len))
+
+        def arrays(entry):
+            if isinstance(entry, np.ndarray):
+                yield entry
+            else:
+                for part in entry:
+                    yield from arrays(part)
+
+        refs = [[weakref.ref(a) for a in arrays(entry)] for entry in cache.tape]
+        read = []
+
+        def check(name):
+            # The half being entered reads the entry just popped, at index
+            # len(cache.tape); every entry past it was popped and read earlier.
+            current = len(cache.tape)
+            if name != "_embed_tokens_backward":
+                assert all(ref() is not None for ref in refs[current])
+                read.append(current)
+            for i in range(current + 1, len(refs)):
+                assert all(ref() is None for ref in refs[i]), (name, i)
+
+        for name in ("_ffn_backward", "_attention_backward", "_embed_tokens_backward"):
+
+            def checked(*args, _name=name, _real=getattr(encoder_module, name)):
+                check(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(encoder_module, name, checked)
+        backward(params, cache, np.ones_like(emb.vectors), params.zeros_like())
+        assert read == list(range(2 * config.n_layers - 1, -1, -1))
+        assert all(ref() is None for entry in refs for ref in entry)
 
     def test_grads_mirror_param_tree(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)

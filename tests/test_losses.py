@@ -16,6 +16,7 @@ from xlembed import (
     mse_loss,
     paraphrase_accuracy,
 )
+from xlembed.losses import _unit_rows
 
 
 def batch(rows):
@@ -207,6 +208,33 @@ class TestMnrLoss:
         a = mnr_loss(batch(t), batch(s), scale=20.0).value
         b = mnr_loss(batch(t), batch(s * 4.0), scale=20.0).value
         assert math.isclose(a, b, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rows_whose_squared_norm_leaves_float64_keep_their_loss(self, scale):
+        # Every entry is finite and no row is zero, but a row's squared norm
+        # overflows at 1e200 and underflows to 0 at 1e-200.
+        rows = np.array([[1.0, 1.0], [1.0, -1.0]])
+        at_one = mnr_loss(batch(rows), batch(rows), scale=1.0)
+        # Orthogonal rows at scale 1: each row's loss is ln(1 + e^-1).
+        assert abs(at_one.value - math.log1p(math.exp(-1.0))) <= 1e-12
+        teacher_scaled = mnr_loss(batch(scale * rows), batch(rows), scale=1.0)
+        assert teacher_scaled.value == pytest.approx(at_one.value, rel=1e-15)
+        assert np.allclose(teacher_scaled.grad_student, at_one.grad_student, rtol=1e-15, atol=0)
+        # A student row's norm divides its gradient.
+        student_scaled = mnr_loss(batch(rows), batch(scale * rows), scale=1.0)
+        assert student_scaled.value == pytest.approx(at_one.value, rel=1e-15)
+        assert np.allclose(student_scaled.grad_student * scale, at_one.grad_student,
+                           rtol=1e-15, atol=0)
+
+    def test_only_rows_that_leave_float64_are_rescaled(self):
+        rows = np.array([[3.0, 4.0], [1e200, 1e200], [0.1, 0.7], [1e-200, 0.0]])
+        unit, norms = _unit_rows(rows, "zero-norm rows")
+        plain = [0, 2]
+        expected = rows[plain] / np.sqrt((rows[plain] * rows[plain]).sum(axis=1))[:, None]
+        assert unit[plain].tobytes() == expected.tobytes()
+        half = math.sqrt(0.5)
+        assert np.allclose(unit[[1, 3]], [[half, half], [1.0, 0.0]], rtol=1e-15, atol=0)
+        assert np.allclose(norms[[1, 3]], [math.sqrt(2.0) * 1e200, 1e-200], rtol=1e-15, atol=0)
 
     def test_errors(self):
         t = batch([[1.0, 0.0], [0.0, 1.0]])

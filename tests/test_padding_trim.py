@@ -73,10 +73,10 @@ def assert_rows_equal_alone(params, texts, longest):
     for i, seq in enumerate(batch[:-1]):
         alone = forward(params, [seq])[0].vectors[0]
         assert together.vectors[i].tobytes() == alone.tobytes(), texts[i]
-    # Attention runs on each sentence's own tokens: every layer caches
+    # Attention runs on each sentence's own tokens: every layer's attention
+    # entry (the even tape entries before the closing layer norm's) caches
     # n_heads · n² probabilities for each sentence of n tokens.
-    for layer_cache in cache.layer_caches:
-        probs = layer_cache.probs
+    for _, _, probs in cache.tape[:-1:2]:
         assert sum(p.size for p in probs) == params.config.n_heads * sum(
             len(seq) ** 2 for seq in batch
         )
