@@ -23,7 +23,9 @@ backward half: ``_embed_tokens``, ``_attention_forward`` and ``_ffn_forward``
 and ``embed`` make the same forward calls, and ``backward`` makes the
 backward calls in reverse. The cache is a tape: ``forward`` pushes the
 tuple each forward half saves, and ``backward`` pops each one straight
-into its backward half.
+into its backward half. On a large batch, ``backward`` runs each layer's
+weight-gradient products on a helper thread beside the input-gradient
+chain, with the bytes of running them inline (see ``_Jobs``).
 
 All computation happens in the dtype of the parameter arrays; float32 is
 the default, and tests run the same code in float64 for finite-difference
@@ -35,8 +37,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from concurrent import futures
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -57,6 +60,13 @@ _MIN_ROWS = 16
 # block of its (rows, 4·dim) input is 256 KB in float32, so a block stays in
 # cache from one pass to the next.
 _GELU_ROWS = 128
+# Fewest packed rows × dim at which ``backward`` runs the weight-gradient
+# products on a helper thread (see ``_Jobs``). Under one OpenBLAS thread on
+# two cores, a 2-layer backward was slower threaded than inline at 512 rows
+# of dim 32 (×1.27) and 256 of dim 128 (×1.09), and faster at 2,048 of dim
+# 32 (×0.93) and 512 of dim 128 (×0.82): handing a job over and waiting for
+# it costs tens of µs, which small products do not repay.
+_OVERLAP_SIZE = 65536
 
 # Each run of consecutive equal-length sentences in a packed batch, as
 # (first row, number of sentences, length).
@@ -389,6 +399,64 @@ def _gelu_backward(u: np.ndarray, d_g: np.ndarray) -> np.ndarray:
     return u
 
 
+def _add_weight_grad(
+    dw: np.ndarray, x: np.ndarray, dy: np.ndarray, norm: tuple | None = None
+) -> None:
+    """``dw += x.T @ dy``, a weight gradient. With ``norm``, a layer norm's
+    ``(gain, bias)``, ``x`` is its normalized rows, and its output is
+    recomputed first."""
+    if norm is not None:
+        x = _norm_output(x, *norm)
+    dw += x.T @ dy
+
+
+def _call(job: list) -> None:
+    """``job[0](*job[1:])``, with ``job`` emptied first: the executor's work
+    item keeps its arguments until the worker's next loop, so the arrays must
+    not be among them once the job's future resolves."""
+    fn, *args = job
+    job.clear()
+    fn(*args)
+
+
+class _Jobs:
+    """The weight-gradient products of one ``backward`` call.
+
+    With ``threaded``, each job runs on one helper thread, in submission
+    order, while the calling thread goes on with the input gradients; a job
+    only reads arrays that nothing writes until ``wait`` returns, and adds
+    into a gradient that nothing else touches, so each product is the same
+    BLAS call on the same operands and gives the same bytes. Without it,
+    each job runs at its call site. The thread lives as long as the ``with``
+    block, which waits for every job before it ends, even on an error.
+    """
+
+    def __init__(self, threaded: bool) -> None:
+        self._pool = futures.ThreadPoolExecutor(1) if threaded else None
+        self._pending: list[futures.Future] = []
+
+    def __enter__(self) -> "_Jobs":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def submit(self, fn: Callable[..., None], *args: Any) -> None:
+        if self._pool is None:
+            fn(*args)
+        else:
+            self._pending.append(self._pool.submit(_call, [fn, *args]))
+
+    def wait(self) -> None:
+        """Return once every submitted job has finished and dropped its
+        arguments; if any raised, raise the first one's exception."""
+        pending, self._pending = self._pending, []
+        futures.wait(pending)
+        for future in pending:
+            future.result()
+
+
 def _run_views(buf: np.ndarray, runs: Runs, n_heads: int) -> list[np.ndarray]:
     """Each run's ``(4, heads, g, n, dh)`` view of a ``(4, rows, dim)`` buffer
     of Q, K, V and context rows, or of their gradients: each sentence of a
@@ -460,12 +528,13 @@ def _attention_forward(
 
 def _attention_backward(
     d_out: np.ndarray, layer: LayerParams, saved: tuple, grads: LayerParams,
-    runs: Runs, n_heads: int,
+    runs: Runs, n_heads: int, jobs: _Jobs,
 ) -> np.ndarray:
     """The input gradient of ``_attention_forward`` from the ``(ln1, qkvc,
-    probs)`` it saved; the weight gradients are added to ``grads``."""
+    probs)`` it saved; the gradients are added to ``grads``, the two weight
+    matrices' by ``jobs``."""
     ln1, qkvc, probs = saved
-    grads.attn_out_w += qkvc[3].T @ d_out
+    jobs.submit(_add_weight_grad, grads.attn_out_w, qkvc[3], d_out)
     grads.attn_out_b += d_out.sum(axis=0)
     # Gradients of Q, K, V and the context, laid out like qkvc.
     d_qkvc = np.zeros((4, *d_out.shape), dtype=d_out.dtype)
@@ -485,12 +554,14 @@ def _attention_backward(
         np.matmul(d_scores_kq, run[0], out=d_run[1])
     d_qkv = d_qkvc[:3]
     d_qkv[:2] *= np.asarray(1.0 / math.sqrt(d_out.shape[1] // n_heads), dtype=d_out.dtype)
+    jobs.submit(
+        _add_weight_grad, grads.attn_qkv_w, ln1[0], d_qkv, (layer.norm1_gain, layer.norm1_bias)
+    )
     # d_q·Wqᵀ + d_k·Wkᵀ + d_v·Wvᵀ, added in that order: the bits of the
     # stacked product summed over its leading axis, without its (3, rows, dim).
     d_h = d_qkv[0] @ layer.attn_qkv_w[0].T
     d_h += d_qkv[1] @ layer.attn_qkv_w[1].T
     d_h += d_qkv[2] @ layer.attn_qkv_w[2].T
-    grads.attn_qkv_w += _norm_output(ln1[0], layer.norm1_gain, layer.norm1_bias).T @ d_qkv
     grads.attn_qkv_b += d_qkv.sum(axis=1)
     d_x = _layer_norm_backward(d_h, layer.norm1_gain, ln1, grads.norm1_gain, grads.norm1_bias)
     d_x += d_out
@@ -515,16 +586,20 @@ def _ffn_forward(x: np.ndarray, layer: LayerParams, keep: bool) -> tuple[np.ndar
 
 
 def _ffn_backward(
-    d_out: np.ndarray, layer: LayerParams, saved: tuple, grads: LayerParams
+    d_out: np.ndarray, layer: LayerParams, saved: tuple, grads: LayerParams, jobs: _Jobs
 ) -> np.ndarray:
     """The input gradient of ``_ffn_forward`` from the ``(ln2, u)`` it saved;
-    the weight gradients are added to ``grads``. The GELU is written over
-    ``u``, so the saved ``u`` is spent."""
+    the gradients are added to ``grads``, the two weight matrices' by
+    ``jobs``. The GELU is written over ``u``, so the saved ``u`` is spent."""
     ln2, u = saved
     d_u = d_out @ layer.ffn_out_w.T
-    grads.ffn_out_w += _gelu_backward(u, d_u).T @ d_out
+    act = _gelu_backward(u, d_u)
+    # ffn_in_w's product first: it holds d_u, of (rows, 4·dim), until it ends.
+    jobs.submit(
+        _add_weight_grad, grads.ffn_in_w, ln2[0], d_u, (layer.norm2_gain, layer.norm2_bias)
+    )
+    jobs.submit(_add_weight_grad, grads.ffn_out_w, act, d_out)
     grads.ffn_out_b += d_out.sum(axis=0)
-    grads.ffn_in_w += _norm_output(ln2[0], layer.norm2_gain, layer.norm2_bias).T @ d_u
     grads.ffn_in_b += d_u.sum(axis=0)
     d_h = d_u @ layer.ffn_in_w.T
     del d_u
@@ -660,6 +735,19 @@ def backward(
     ``grad_output`` or ``grads`` raises ``ValidationError`` before anything
     is consumed, and so does a cache that an earlier ``backward`` consumed
     (an empty tape), before anything is written.
+
+    From ``_OVERLAP_SIZE`` packed rows × dim, the halves hand their four
+    weight-gradient products per layer (``X.T @ dY`` for ``attn_out_w``,
+    ``attn_qkv_w``, ``ffn_out_w`` and ``ffn_in_w``, with the recomputed
+    layer-norm output that feeds two of them) to one helper thread, which
+    lives for this call only; the calling thread keeps everything that
+    ``d_x`` depends on. Nothing later reads those products, and each stays
+    one BLAS call on the same operands, adding into a zeroed gradient, so
+    no byte moves. ``backward`` waits for a half's products as the next half
+    is entered, so that each popped tape entry is freed by then, as it is
+    with the products inline. A product that raises surfaces here, once the
+    other products have finished. Smaller batches run each product at its
+    call site, with no thread.
     """
     config = params.config
     grad_output = np.asarray(grad_output, dtype=params.dtype)
@@ -678,14 +766,19 @@ def backward(
     grads.flat.fill(0)
 
     tape = cache.tape
-    d_x = _pool_backward(grad_output, cache)
-    d_x = _layer_norm_backward(
-        d_x, params.final_gain, tape.pop(), grads.final_gain, grads.final_bias
-    )
-    for layer, layer_grads in zip(reversed(params.layers), reversed(grads.layers)):
-        d_x = _ffn_backward(d_x, layer, tape.pop(), layer_grads)
-        d_x = _attention_backward(d_x, layer, tape.pop(), layer_grads, cache.runs, config.n_heads)
-    _embed_tokens_backward(d_x, cache, grads)
+    with _Jobs(cache.ids.size * config.dim >= _OVERLAP_SIZE) as jobs:
+        d_x = _pool_backward(grad_output, cache)
+        d_x = _layer_norm_backward(
+            d_x, params.final_gain, tape.pop(), grads.final_gain, grads.final_bias
+        )
+        for layer, layer_grads in zip(reversed(params.layers), reversed(grads.layers)):
+            d_x = _ffn_backward(d_x, layer, tape.pop(), layer_grads, jobs)
+            jobs.wait()
+            d_x = _attention_backward(
+                d_x, layer, tape.pop(), layer_grads, cache.runs, config.n_heads, jobs
+            )
+            jobs.wait()
+        _embed_tokens_backward(d_x, cache, grads)
     return grads
 
 

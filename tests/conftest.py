@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 from typing import Callable
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from xlembed import EncoderConfig, ParallelCorpus, build_vocab
+from xlembed import encoder
 
 
 @pytest.fixture
@@ -50,6 +52,41 @@ def traced_peak() -> Callable[[Callable[[], object]], int]:
             tracemalloc.stop()
 
     return peak
+
+
+class StalledJobs(encoder._Jobs):
+    """``backward``'s helper thread as if it got no time until ``backward``
+    waits for it: each job is held, with its arguments, until the wait
+    point, and only then runs on the thread."""
+
+    def __init__(self, threaded: bool) -> None:
+        super().__init__(threaded)
+        self._held: list[list] = []
+
+    def submit(self, fn, *args) -> None:
+        self._held.append([fn, *args])
+
+    def wait(self) -> None:
+        while self._held:
+            super().submit(*self._held.pop(0))
+        super().wait()
+
+
+@pytest.fixture
+def overlap(monkeypatch) -> Callable[[str], None]:
+    """A function that forces ``backward``'s weight-gradient products
+    ``"on"`` its helper thread whatever the batch size, ``"off"`` it (each
+    runs at its call site), or ``"stalled"``: on, but each job held until its
+    wait point (see ``StalledJobs``)."""
+
+    def force(mode: str) -> None:
+        monkeypatch.setattr(encoder, "_OVERLAP_SIZE", sys.maxsize if mode == "off" else 0)
+        monkeypatch.setattr(encoder, "_Jobs", StalledJobs if mode == "stalled" else RealJobs)
+
+    return force
+
+
+RealJobs = encoder._Jobs
 
 
 def random_sentences(rng: np.random.Generator, count: int, alphabet: int, lo: int, hi: int):

@@ -379,13 +379,16 @@ class TestBackward:
         assert len(cache.tape) == 2 * tiny_config.n_layers + 1
         assert backward(params, cache, weights, params.zeros_like()).flat.tobytes() == expected
 
-    def test_each_tape_entry_dies_at_its_last_read(self, tiny_vocab, monkeypatch):
+    def test_each_tape_entry_dies_at_its_last_read(self, tiny_vocab, monkeypatch, overlap):
+        # With the weight-gradient products on the helper thread too, and
+        # with a helper that runs nothing until backward waits for it: the
+        # jobs of a half hold parts of its entry, and must have let go of
+        # them by the time the next half is entered.
         from xlembed import encoder as encoder_module
 
         config = EncoderConfig(vocab_size=tiny_vocab.size, dim=8, n_layers=3, n_heads=2, max_len=6)
         params = init_params(config)
         texts = ["the cat sat", "a dog ran fast", "birds sing", "the sun"]
-        emb, cache = forward(params, encode_batch(tiny_vocab, texts, config.max_len))
 
         def arrays(entry):
             if isinstance(entry, np.ndarray):
@@ -393,9 +396,6 @@ class TestBackward:
             else:
                 for part in entry:
                     yield from arrays(part)
-
-        refs = [[weakref.ref(a) for a in arrays(entry)] for entry in cache.tape]
-        read = []
 
         def check(name):
             # The half being entered reads the entry just popped, at index
@@ -414,9 +414,15 @@ class TestBackward:
                 return _real(*args)
 
             monkeypatch.setattr(encoder_module, name, checked)
-        backward(params, cache, np.ones_like(emb.vectors), params.zeros_like())
-        assert read == list(range(2 * config.n_layers - 1, -1, -1))
-        assert all(ref() is None for entry in refs for ref in entry)
+        for mode in ("off", "on", "stalled"):
+            overlap(mode)
+            emb, cache = forward(params, encode_batch(tiny_vocab, texts, config.max_len))
+            refs = [[weakref.ref(a) for a in arrays(entry)] for entry in cache.tape]
+            read = []
+            backward(params, cache, np.ones_like(emb.vectors), params.zeros_like())
+            assert read == list(range(2 * config.n_layers - 1, -1, -1)), mode
+            assert all(ref() is None for entry in refs for ref in entry), mode
+            del emb, cache
 
     def test_grads_mirror_param_tree(self, tiny_config, tiny_vocab):
         params = init_params(tiny_config)

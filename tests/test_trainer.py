@@ -480,19 +480,26 @@ class TestTrain:
             assert flat is trained and call_grads is grads
         assert ckpt.params.flat.tobytes() == trained.tobytes()
 
-    def test_holds_one_steps_activations(self, traced_peak):
+    def test_holds_one_steps_activations(self, traced_peak, overlap, mode="on"):
         # Weights, gradients and AdamW's moments are 4·n_params floats, and
         # the two work rows each adamw_step call allocates 2·65,536 (one
         # block each). A step's cache keeps about 10 (rows, dim) arrays per
         # layer besides the attention probabilities; backward frees each
         # layer's part once it has read it, and its peak, in the last
         # layer's FFN backward, adds the FFN's (rows, 4·dim) gradient and a
-        # few more. It peaks at about 29.9 such arrays. A backward that
-        # keeps its cache whole and allocates a fresh GELU output and layer
-        # norm gradient peaks at about 36, holding the FFN's gradient
-        # through attention's backward as well at about 42, keeping the
-        # layer norms' outputs and the GELU's tanh term at about 54, and
-        # holding the last step's cache through the next forward at about 80.
+        # few more. It peaks there at about 29.9 such arrays with the weight
+        # gradients' products inline. On backward's helper thread, which
+        # backward waits for as the next half is entered, a product can
+        # still hold the FFN's (rows, 4·dim) gradient through the layer
+        # norm's backward while it recomputes a layer norm's output: about
+        # 30.9 to 32.0 arrays, and about 30.7 with a helper that runs each
+        # product only once backward waits for it. A backward that keeps its cache whole and allocates a
+        # fresh GELU output and layer norm gradient peaks at about 36,
+        # holding the FFN's gradient through attention's backward as well at
+        # about 42, keeping the layer norms' outputs and the GELU's tanh
+        # term at about 54, and holding the last step's cache through the
+        # next forward at about 80.
+        overlap(mode)
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(100)]
         corpus = ParallelCorpus(
@@ -507,6 +514,9 @@ class TestTrain:
         peak = traced_peak(lambda: train(corpus, teacher, vocab, config, train_config))
         itemsize = np.dtype(np.float32).itemsize
         assert peak < (4 * config.n_params + 2 * 65536 + 33 * 32 * 64 * config.dim) * itemsize
+
+    def test_holds_them_with_a_stalled_helper_thread(self, traced_peak, overlap):
+        self.test_holds_one_steps_activations(traced_peak, overlap, mode="stalled")
 
     def test_alignment_validation(self, tiny_corpus, tiny_vocab, tiny_config, random_teacher):
         short = TeacherTable(
@@ -610,22 +620,26 @@ class TestCheckpointFile:
             load_checkpoint(bad)
 
     def test_golden_checkpoint_digest(
-        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher, tmp_path
+        self, tiny_corpus, tiny_vocab, tiny_config, random_teacher, tmp_path, overlap
     ):
         # Pinned bytes of small trained checkpoints: a change to the
         # parameter layout, the optimizer arithmetic, a loss's arithmetic
         # (the ranking loss's row normalization among it) or the file format
         # shows up here. Six pairs in batches of 2 leave the ranking loss no
-        # singleton tail to skip.
+        # singleton tail to skip. They are too small for backward's helper
+        # thread, so it is also forced on.
         golden = {
             "mse": "7fddc4c7d3460c4f332389a9d2500fd1fef1b2030845c28dbf5baf545797dd86",
             "mnr": "4d66f7d2d7f4425269f1df0aee13e9b2df95935c8f278fa4f3bcc2d98efcea41",
         }
         path = tmp_path / "golden.bemb"
-        for loss, expected in golden.items():
-            config = quick_config(loss=loss, epochs=3)
-            save_checkpoint(train(tiny_corpus, random_teacher, tiny_vocab, tiny_config, config), path)
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, loss
+        for mode in ("off", "on"):
+            overlap(mode)
+            for loss, expected in golden.items():
+                config = quick_config(loss=loss, epochs=3)
+                ckpt = train(tiny_corpus, random_teacher, tiny_vocab, tiny_config, config)
+                save_checkpoint(ckpt, path)
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, (mode, loss)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
