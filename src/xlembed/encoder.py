@@ -766,11 +766,11 @@ def backward(
     grads.flat.fill(0)
 
     tape = cache.tape
+    d_x = _pool_backward(grad_output, cache)
+    d_x = _layer_norm_backward(
+        d_x, params.final_gain, tape.pop(), grads.final_gain, grads.final_bias
+    )
     with _Jobs(cache.ids.size * config.dim >= _OVERLAP_SIZE) as jobs:
-        d_x = _pool_backward(grad_output, cache)
-        d_x = _layer_norm_backward(
-            d_x, params.final_gain, tape.pop(), grads.final_gain, grads.final_bias
-        )
         for layer, layer_grads in zip(reversed(params.layers), reversed(grads.layers)):
             d_x = _ffn_backward(d_x, layer, tape.pop(), layer_grads, jobs)
             jobs.wait()
@@ -778,7 +778,7 @@ def backward(
                 d_x, layer, tape.pop(), layer_grads, cache.runs, config.n_heads, jobs
             )
             jobs.wait()
-        _embed_tokens_backward(d_x, cache, grads)
+    _embed_tokens_backward(d_x, cache, grads)
     return grads
 
 

@@ -54,7 +54,10 @@ def traced_peak() -> Callable[[Callable[[], object]], int]:
     return peak
 
 
-class StalledJobs(encoder._Jobs):
+RealJobs = encoder._Jobs
+
+
+class StalledJobs(RealJobs):
     """``backward``'s helper thread as if it got no time until ``backward``
     waits for it: each job is held, with its arguments, until the wait
     point, and only then runs on the thread."""
@@ -84,9 +87,6 @@ def overlap(monkeypatch) -> Callable[[str], None]:
         monkeypatch.setattr(encoder, "_Jobs", StalledJobs if mode == "stalled" else RealJobs)
 
     return force
-
-
-RealJobs = encoder._Jobs
 
 
 def random_sentences(rng: np.random.Generator, count: int, alphabet: int, lo: int, hi: int):

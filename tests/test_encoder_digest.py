@@ -57,26 +57,18 @@ def digest(dim, n_heads, lengths_per_batch, seed):
 
 
 BATCHES = [[3, 5, 2], [64, 1, 17, 40, 9, 33, 64, 30], [12] * 11 + [1]]
+PINNED = [
+    (32, 2, "59920ec2bd3510558866dbc0cb9ce26105db677890ccecf7e63239360e20eb50"),
+    (128, 4, "c8bcdeeddaab3e041262ef8c0e9df500246f1f1b78182ffcbf71277abd7e2bf0"),
+]
 
 
-@pytest.mark.parametrize(
-    "dim, n_heads, expected",
-    [
-        (32, 2, "59920ec2bd3510558866dbc0cb9ce26105db677890ccecf7e63239360e20eb50"),
-        (128, 4, "c8bcdeeddaab3e041262ef8c0e9df500246f1f1b78182ffcbf71277abd7e2bf0"),
-    ],
-)
+@pytest.mark.parametrize("dim, n_heads, expected", PINNED)
 def test_forward_and_backward_bytes_are_pinned(dim, n_heads, expected):
     assert digest(dim, n_heads, BATCHES, seed=dim) == expected
 
 
-@pytest.mark.parametrize(
-    "dim, n_heads, expected",
-    [
-        (32, 2, "59920ec2bd3510558866dbc0cb9ce26105db677890ccecf7e63239360e20eb50"),
-        (128, 4, "c8bcdeeddaab3e041262ef8c0e9df500246f1f1b78182ffcbf71277abd7e2bf0"),
-    ],
-)
+@pytest.mark.parametrize("dim, n_heads, expected", PINNED)
 def test_bytes_are_pinned_with_the_helper_thread_on_every_batch(dim, n_heads, expected, overlap):
     # backward's weight-gradient products run beside its input-gradient
     # chain on every batch, the one of fewer than 16 tokens too.
