@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from . import _malloc
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_array, check_count
 from .tokenizer import PAD_ID, Vocab, encode_batch
 
 _LN_EPS = 1e-5
@@ -151,13 +151,14 @@ class EncoderParams:
     ``_layout``); ``token_embedding``, ``position_embedding``, ``layers``,
     ``final_gain`` and ``final_bias`` are reshaped views into it, so writing
     to a view writes to ``flat``. Gradients and optimizer moments use the
-    same layout.
+    same layout. ``flat`` is floating point; its values are not checked,
+    since ``init_params`` fills an uninitialized buffer after building it.
     """
 
     def __init__(self, config: EncoderConfig, flat: np.ndarray) -> None:
-        if flat.shape != (config.n_params,):
+        if flat.shape != (config.n_params,) or flat.dtype.kind != "f":
             raise ValidationError(
-                f"parameter buffer has shape {flat.shape}, expected ({config.n_params},)"
+                f"parameters must be a float ({config.n_params},) buffer, got {flat.dtype} {flat.shape}"
             )
         views: dict[str, np.ndarray] = {}
         offset = 0
@@ -197,18 +198,18 @@ class EncoderParams:
 
 @dataclass
 class EmbeddingBatch:
-    """A (count, dim) matrix of sentence embeddings, one row per sentence."""
+    """A (count, dim) matrix of sentence embeddings, one row per sentence.
+
+    ``vectors`` is admitted by ``check_array`` (finite real numbers, 2-D)
+    and needs at least one row and one column.
+    """
 
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors)
-        if self.vectors.ndim != 2:
-            raise ValidationError(f"embeddings must be 2-D, got shape {self.vectors.shape}")
-        if self.vectors.shape[0] < 1:
-            raise ValidationError("embedding batch must contain at least one row")
-        if not np.isfinite(self.vectors).all():
-            raise ValidationError("embeddings contain non-finite values")
+        self.vectors = check_array("embeddings", self.vectors, ndim=2)
+        if 0 in self.vectors.shape:
+            raise ValidationError(f"embeddings need a row and a column, got shape {self.vectors.shape}")
 
     @property
     def count(self) -> int:
@@ -261,7 +262,8 @@ def init_params(config: EncoderConfig, dtype: Any = np.float32) -> EncoderParams
 
     Weight matrices and embeddings come from N(0, 0.02^2) in serialization
     order, biases start at zero, and layer-norm gains at one, so identical
-    (config, dtype) always produce bit-identical parameters.
+    (config, dtype) always produce bit-identical parameters. The dtype must
+    be floating point, as ``EncoderParams`` requires.
     """
     rng = np.random.default_rng(config.seed)
     params = EncoderParams(config, np.empty(config.n_params, dtype=dtype))
@@ -732,7 +734,8 @@ def backward(
     The closing layer norm's goes first, then per layer the FFN's and the
     attention's, so the step's peak is the last layer's FFN backward, and
     the FFN's GELU is written over the cached ``u``. A wrong
-    ``grad_output`` or ``grads`` raises ``ValidationError`` before anything
+    ``grad_output`` (not ``check_array``'s finite real numbers, or of
+    another shape) or ``grads`` raises ``ValidationError`` before anything
     is consumed, and so does a cache that an earlier ``backward`` consumed
     (an empty tape), before anything is written.
 
@@ -750,12 +753,11 @@ def backward(
     call site, with no thread.
     """
     config = params.config
-    grad_output = np.asarray(grad_output, dtype=params.dtype)
+    grad_output = check_array("grad_output", grad_output, params.dtype)
     count = sum([g for _, g, _ in cache.runs])
     if grad_output.shape != (count, config.dim):
         raise ValidationError(
-            f"grad_output shape {grad_output.shape} does not match "
-            f"(batch, dim) = ({count}, {config.dim})"
+            f"grad_output has shape {grad_output.shape}, not (batch, dim) = ({count}, {config.dim})"
         )
     if grads.config != config or grads.dtype != params.dtype:
         raise ValidationError("grads must have the config and dtype of params")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EmbeddingBatch, EncoderParams, embed
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_array, check_real
 from .losses import _aligned, _row_cosines
 from .tokenizer import Vocab
 
@@ -64,7 +64,6 @@ def paraphrase_accuracy(
     A pair is predicted positive exactly when cosine >= threshold; the
     boundary itself counts as positive. The threshold must be finite.
     """
-    check_real("threshold", threshold)
     if len(labels) != a.count:
         raise ValidationError(f"{len(labels)} labels for {a.count} pairs")
     if any(l not in (0, 1) for l in labels):
@@ -81,13 +80,10 @@ def _accuracy(cosines: np.ndarray, labels: list[int], threshold: float = _THRESH
 
 def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y as float64 1-D arrays of one length, at least 2, all finite."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    x, y = (check_array(name, arr, np.float64).reshape(-1) for name, arr in (("x", x), ("y", y)))
     for name, arr in (("x", x), ("y", y)):
         if arr.size < 2:
             raise ValidationError(f"{name} needs at least 2 values, got {arr.size}")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{name} contains non-finite values")
     if x.size != y.size:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
     return x, y

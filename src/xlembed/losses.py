@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EmbeddingBatch
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_array, check_real
 
 # Smallest normal float64: a squared norm below it has lost bits, or is 0.
 _TINY = np.finfo(np.float64).tiny
@@ -33,12 +33,10 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     The clamp only absorbs float round-off past the mathematical bounds; a
     zero-norm input or a non-finite entry is an error.
     """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    u = check_array("u", u, np.float64).reshape(-1)
+    v = check_array("v", v, np.float64).reshape(-1)
     if u.shape != v.shape:
         raise ValidationError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValidationError("cosine similarity is undefined for a non-finite entry")
     return float(_row_cosines(u[None, :], v[None, :])[0])
 
 

@@ -52,7 +52,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_real
+from .errors import ValidationError, check_array, check_count, check_real
 
 _PERPLEXITY_TOL_BITS = 1e-3
 _MAX_SEARCH_STEPS = 200
@@ -96,17 +96,16 @@ class TsneConfig:
 
 @dataclass
 class Layout2D:
-    """A 2-D arrangement of points with integer class labels."""
+    """A 2-D arrangement of points with integer class labels; ``points`` is
+    admitted by ``check_array`` as float64 and must be N x 2."""
 
     points: np.ndarray
     labels: list[int]
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
+        self.points = check_array("points", self.points, np.float64, ndim=2)
+        if self.points.shape[1] != 2:
             raise ValidationError(f"points must be N x 2, got shape {self.points.shape}")
-        if not np.isfinite(self.points).all():
-            raise ValidationError("layout contains non-finite coordinates")
         if len(self.labels) != self.points.shape[0]:
             raise ValidationError(
                 f"{len(self.labels)} labels for {self.points.shape[0]} points"
@@ -121,14 +120,12 @@ class Layout2D:
         self.labels = [int(l) for l in self.labels]
 
 
-def _check_input(x, min_points: int = 3) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValidationError(f"input must be 2-D, got shape {x.shape}")
+def _check_input(name: str, x, min_points: int = 3) -> np.ndarray:
+    """x admitted by ``check_array`` as a float64 matrix of at least
+    ``min_points`` rows."""
+    x = check_array(name, x, np.float64, ndim=2)
     if x.shape[0] < min_points:
         raise ValidationError(f"need at least {min_points} points, got {x.shape[0]}")
-    if not np.isfinite(x).all():
-        raise ValidationError("input contains non-finite values")
     return x
 
 
@@ -144,7 +141,7 @@ def joint_probabilities(x, perplexity: float) -> np.ndarray:
     matrix is symmetrized as (P + P^T) / (2N), so the result is symmetric,
     non-negative, zero on the diagonal, and sums to one.
     """
-    x = _check_input(x)
+    x = _check_input("x", x)
     n = x.shape[0]
     check_real("perplexity", perplexity)
     if not 1.0 < perplexity <= n - 1:
@@ -280,12 +277,12 @@ def kl_divergence(p: np.ndarray, layout: np.ndarray) -> float:
     Raises ValidationError unless layout is N x d with N >= 2 and finite
     values, and p is N x N with finite, non-negative values.
     """
-    layout = _check_input(layout, min_points=2)
+    layout = _check_input("layout", layout, min_points=2)
     n = layout.shape[0]
-    p = np.asarray(p, dtype=np.float64)
+    p = check_array("P", p, np.float64)
     if p.shape != (n, n):
         raise ValidationError(f"P must be {n} x {n} for {n} points, got shape {p.shape}")
-    if not (np.isfinite(p).all() and (p >= 0.0).all()):
+    if (p < 0.0).any():
         raise ValidationError("P must hold finite, non-negative values")
     w = _student_t_weights(layout, np.empty((n, n)), np.empty((n, n)), np.ones((3, n)))
     q = np.maximum(w / w.sum(), _Q_FLOOR)
@@ -308,7 +305,7 @@ def run_tsne(x, config: TsneConfig) -> np.ndarray:
     updated in place. The layout's bytes do not depend on the block size
     (see the module docstring).
     """
-    x = _check_input(x)
+    x = _check_input("x", x)
     n = x.shape[0]
     if not config.perplexity < (n - 1) / 3.0:
         raise ValidationError(

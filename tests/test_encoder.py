@@ -374,6 +374,12 @@ class TestBackward:
         _, cache = forward(params, batch)
         with pytest.raises(ValidationError, match="grad_output"):
             backward(params, cache, weights[:1], params.zeros_like())
+        nan_weights = weights.copy()
+        nan_weights[1, 2] = np.nan
+        grads = EncoderParams(params.config, np.ones_like(params.flat))
+        with pytest.raises(ValidationError, match="grad_output must be finite"):
+            backward(params, cache, nan_weights, grads)
+        assert (grads.flat == 1).all()
         with pytest.raises(ValidationError, match="grads"):
             backward(params, cache, weights, init_params(tiny_config, dtype=np.float64))
         assert len(cache.tape) == 2 * tiny_config.n_layers + 1

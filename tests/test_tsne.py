@@ -186,7 +186,7 @@ class TestKlDivergence:
         elif case == "NaN in layout":
             layout[2, 1], match = np.nan, "non-finite"
         elif case == "NaN in P":
-            p[1, 3] = np.nan
+            p[1, 3], match = np.nan, "P must be finite, got non-finite"
         else:
             p[1, 3] = -p[1, 3]
         with pytest.raises(ValidationError, match=match):
